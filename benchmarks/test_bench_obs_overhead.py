@@ -35,9 +35,9 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
+from repro.core.levers import make_scheduler
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.obs import NULL_RECORDER, TraceRecorder, recording, set_recorder
-from repro.scheduler.backfill import BackfillScheduler
 from repro.timeutils import SimulationCalendar
 from repro.workloads.demand import DeadlineDemandModel
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
@@ -73,7 +73,7 @@ def _run(world):
     weather, grid, jobs = world
     simulator = ClusterSimulator(
         Cluster(FACILITY, gpu_model=GPU_MODEL),
-        BackfillScheduler(),
+        make_scheduler("backfill"),
         SimulationConfig(horizon_h=HORIZON_28D),
         weather_hourly_c=weather,
         cooling=CoolingModel(),

@@ -17,15 +17,20 @@ from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.deadline_aware import DeadlineAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
+from repro.scheduler.compose import build_pipeline
 from repro.timeutils import SimulationCalendar
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
 
 FACILITY = FacilityConfig(n_nodes=24, gpus_per_node=2)
+
+#: Policy name -> explicit pipeline spelling, in table order.
+POLICIES = {
+    "fifo": "fifo",
+    "backfill": "backfill",
+    "energy-aware": "backfill+cap(fraction=0.75)+budget",
+    "carbon-aware": "backfill+carbon(cap=0.7)",
+    "deadline-aware": "edf+backfill+slack(margin=2.0)",
+}
 
 
 def _build_world():
@@ -38,18 +43,11 @@ def _build_world():
 
 
 def _run_all(weather, grid, jobs):
-    schedulers = (
-        FifoScheduler(),
-        BackfillScheduler(),
-        EnergyAwareScheduler(),
-        CarbonAwareScheduler(),
-        DeadlineAwareScheduler(),
-    )
     results = []
-    for scheduler in schedulers:
+    for name, spelling in POLICIES.items():
         simulator = ClusterSimulator(
             Cluster(FACILITY),
-            scheduler,
+            build_pipeline(spelling, name=name),
             SimulationConfig(horizon_h=7 * 24.0),
             weather_hourly_c=weather,
             cooling=CoolingModel(),

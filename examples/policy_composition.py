@@ -9,10 +9,9 @@ string in the `repro.scheduler.compose` grammar:
     edf+backfill+slack(margin=2.0)+cap(fraction=0.8)
     sjf+backfill+renewable(min_share=0.25)
 
-The five legacy policy names (`fifo`, `backfill`, `energy-aware`,
+The five built-in policy names (`fifo`, `backfill`, `energy-aware`,
 `carbon-aware`, `deadline-aware`) are canned compositions registered through
-`register_policy()`, with job records bit-identical to the old monolithic
-schedulers.  Because the `schedule` experiment takes the policy as an
+`register_policy()`, with hash-pinned job records.  Because the `schedule` experiment takes the policy as an
 ordinary parameter, the whole composition space sweeps through the campaign
 layer like any other grid dimension.
 

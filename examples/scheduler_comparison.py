@@ -3,8 +3,8 @@
 
 Builds a 48-node cluster, generates a one-week SuperCloud-like job trace, and
 runs it under FIFO, backfill, energy-aware, carbon-aware and deadline-aware
-policies with identical weather and grid conditions — the Eq. 1 levers ``p``
-and ``c`` in action.  Then runs the Eq. 1 grid search to pick the best
+policy pipelines (each given by its spec string) with identical weather and
+grid conditions — the Eq. 1 levers ``p`` and ``c`` in action.  Then runs the Eq. 1 grid search to pick the best
 operating point subject to a 90% activity floor.
 
 Run with::
@@ -22,17 +22,20 @@ from repro.config import FacilityConfig
 from repro.core.framework import GreenDatacenterModel
 from repro.core.levers import OperatingPoint
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler import (
-    BackfillScheduler,
-    CarbonAwareScheduler,
-    DeadlineAwareScheduler,
-    EnergyAwareScheduler,
-    FifoScheduler,
-)
+from repro.scheduler import build_pipeline
 from repro.timeutils import SimulationCalendar
 from repro.workloads.supercloud import SuperCloudTraceConfig, SuperCloudTraceGenerator
 
 FACILITY = FacilityConfig(n_nodes=48, gpus_per_node=2)
+
+#: Policy label -> pipeline spec string.
+POLICIES = {
+    "fifo": "fifo",
+    "backfill": "backfill",
+    "energy-aware": "backfill+cap(fraction=0.75)+budget",
+    "carbon-aware": "backfill+carbon(cap=0.7)",
+    "deadline-aware": "edf+backfill+slack(margin=2.0)",
+}
 
 
 def main() -> None:
@@ -48,10 +51,10 @@ def main() -> None:
     header = (f"{'policy':>15} {'energy kWh':>11} {'CO2e kg':>9} {'cost $':>8} "
               f"{'kWh/GPU-h':>10} {'done':>5} {'wait h':>7} {'p95 wait':>9}")
     print(header)
-    for scheduler in (FifoScheduler(), BackfillScheduler(), EnergyAwareScheduler(),
-                      CarbonAwareScheduler(), DeadlineAwareScheduler()):
+    for name, spec in POLICIES.items():
         simulator = ClusterSimulator(
-            Cluster(FACILITY), scheduler, SimulationConfig(horizon_h=7 * 24.0),
+            Cluster(FACILITY), build_pipeline(spec, name=name),
+            SimulationConfig(horizon_h=7 * 24.0),
             weather_hourly_c=weather, cooling=CoolingModel(), grid=grid,
         )
         result = simulator.run([job.clone_pending() for job in jobs])

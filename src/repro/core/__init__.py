@@ -6,8 +6,9 @@
 * :mod:`~repro.core.levers` — the decision levers ``q_s`` (supply), ``p``
   (scheduling policy) and ``c`` (power caps) as an enumerable operating point.
   The policy lever is an *open registry*: :func:`~repro.core.levers.
-  register_policy` names canned stage compositions (the five legacy policy
-  names are pre-registered with bit-identical job records), and any pipeline
+  register_policy` names canned stage compositions (``fifo``, ``backfill``,
+  ``energy-aware``, ``carbon-aware`` and ``deadline-aware`` are
+  pre-registered, with hash-pinned job records), and any pipeline
   spec string in the :mod:`~repro.scheduler.compose` grammar — ordering +
   gates + placement + power chain, e.g. ``"backfill+carbon(cap=0.7)+budget"``
   — is a valid ``p`` everywhere a policy is addressed (operating points, the

@@ -16,12 +16,12 @@ the levers are low-dimensional and partly categorical, exactly why the paper
 frames this as an operational rather than algorithmic problem) and evaluates
 each on the cluster simulator.
 
-Policies are registered through :func:`register_policy`; the five legacy
-monolithic policy names (``fifo``, ``backfill``, ``energy-aware``,
-``carbon-aware``, ``deadline-aware``) are pre-registered as *canned pipeline
-compositions* whose job records are bit-identical to the pre-pipeline
-schedulers (pinned in ``tests/test_policy_compose.py``).  ``greenhpc
-policies`` lists the registry and the stage vocabulary.
+Policies are registered through :func:`register_policy`; five names
+(``fifo``, ``backfill``, ``energy-aware``, ``carbon-aware``,
+``deadline-aware``) are pre-registered as *canned pipeline compositions*
+whose job records, per cap lever and facility budget, are hash-pinned in
+``tests/test_policy_compose.py``.  ``greenhpc policies`` lists the registry
+and the stage vocabulary.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ class PolicyDefinition:
         * ``"append"`` — append a static-cap stage when a cap is given
           (carbon-/deadline-aware semantics);
         * ``"always"`` — always append one, defaulting to full TDP when no
-          cap is given (the legacy energy-aware quirk: its cap policy is
-          never absent);
-        * ``"ignored"`` — the policy takes no cap (legacy fifo/backfill
-          factories discarded it; preserved for reproducibility).
+          cap is given (energy-aware: the cap stage is never absent, so every
+          started job outside an exempt queue carries an explicit cap);
+        * ``"ignored"`` — the policy takes no cap (fifo/backfill; the pinned
+          records of those names do not change with the cap lever).
     """
 
     name: str
@@ -170,7 +170,7 @@ def make_scheduler(policy_name: str, power_cap_fraction: Optional[float] = None)
 
 
 # ---------------------------------------------------------------------------
-# The canned legacy policies (bit-identical to the pre-pipeline schedulers)
+# The canned policies (job records hash-pinned in the test suite)
 # ---------------------------------------------------------------------------
 
 register_policy(

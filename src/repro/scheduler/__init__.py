@@ -26,8 +26,9 @@ Any composition is addressable by a **spec string** in the
 :func:`~repro.scheduler.compose.parse_policy` /
 :func:`~repro.scheduler.compose.build_pipeline`, and ``greenhpc policies``
 for the generated catalogue.  :func:`~repro.core.levers.register_policy`
-names canned compositions; the five legacy policy names resolve to pipelines
-with bit-identical job records.
+names canned compositions: ``fifo``, ``backfill``, ``energy-aware``,
+``carbon-aware`` and ``deadline-aware`` are pipelines whose job records are
+hash-pinned in the test suite.
 
 The package provides:
 
@@ -40,23 +41,15 @@ The package provides:
 * :mod:`~repro.scheduler.stages` — the stage taxonomy listed above.
 * :mod:`~repro.scheduler.pipeline` / :mod:`~repro.scheduler.compose` — the
   pipeline scheduler and the spec grammar / stage registry.
-* Legacy monolithic policies (:class:`FifoScheduler`,
-  :class:`BackfillScheduler`, :class:`EnergyAwareScheduler`,
-  :class:`CarbonAwareScheduler`, :class:`DeadlineAwareScheduler`) — kept as
-  the parity references for the canned compositions.
-* :mod:`~repro.scheduler.powercap` — static and adaptive GPU power-cap
-  controllers (the mechanism shown effective by Frey et al. [15]).
+* :mod:`~repro.scheduler.powercap` — the adaptive GPU power-cap controller
+  behind the ``adaptive`` stage and the cap-level energy/runtime trade-off
+  (the mechanism shown effective by Frey et al. [15]).
 """
 
 from .job import Job, JobState
 from .queue import JobQueue, QueuePolicy, SegmentedQueueSystem
 from .base import Scheduler, SchedulingContext, ScheduleDecision
-from .fifo import FifoScheduler
-from .backfill import BackfillScheduler
-from .energy_aware import EnergyAwareScheduler
-from .carbon_aware import CarbonAwareScheduler
-from .deadline_aware import DeadlineAwareScheduler
-from .powercap import StaticPowerCapPolicy, AdaptivePowerCapController, powercap_energy_tradeoff
+from .powercap import AdaptivePowerCapController, powercap_energy_tradeoff
 from .stages import (
     AdaptiveCapStage,
     AdmissionGate,
@@ -96,12 +89,6 @@ __all__ = [
     "Scheduler",
     "SchedulingContext",
     "ScheduleDecision",
-    "FifoScheduler",
-    "BackfillScheduler",
-    "EnergyAwareScheduler",
-    "CarbonAwareScheduler",
-    "DeadlineAwareScheduler",
-    "StaticPowerCapPolicy",
     "AdaptivePowerCapController",
     "powercap_energy_tradeoff",
     # Stage taxonomy

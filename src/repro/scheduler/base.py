@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from ..cluster.resources import Cluster
 from ..errors import SchedulingError
@@ -107,8 +107,8 @@ class Scheduler(ABC):
 
         The cluster simulator subscribes these automatically at construction,
         which is how stateful pipeline stages (e.g. adaptive power caps) hook
-        into the event loop without being special-cased there.  Monolithic
-        policies have none.
+        into the event loop without being special-cased there.  A policy
+        without stateful stages has none.
         """
         return ()
 
@@ -122,35 +122,6 @@ class Scheduler(ABC):
         must not return the same job twice; the simulator validates both.
         The ``pending`` list is ordered by submission time.
         """
-
-    # ------------------------------------------------------------------
-    # Shared helpers for subclasses
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _greedy_fill(
-        jobs: list[Job],
-        free_gpus: int,
-        *,
-        stop_at_first_blocked: bool,
-        cap_for: Callable[[Job], Optional[float]] = lambda job: job.power_cap_fraction,
-    ) -> list[ScheduleDecision]:
-        """Start jobs in the given order while they fit.
-
-        With ``stop_at_first_blocked=True`` this is strict FIFO (a blocked
-        head blocks everything behind it); with ``False`` it is a simple
-        backfill that lets smaller jobs flow around the blocked head.
-        """
-        decisions: list[ScheduleDecision] = []
-        remaining = free_gpus
-        for job in jobs:
-            if job.n_gpus <= remaining:
-                decisions.append(
-                    ScheduleDecision(job=job, power_cap_fraction=cap_for(job))
-                )
-                remaining -= job.n_gpus
-            elif stop_at_first_blocked:
-                break
-        return decisions
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -32,6 +32,7 @@ from.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional, Union
@@ -255,7 +256,12 @@ class StageParam:
         return self.default is REQUIRED
 
     def coerce(self, value: ParamValue, token: StageSpec) -> Any:
-        """Validate/coerce a parsed grammar value for this parameter."""
+        """Validate/coerce a parsed grammar value for this parameter.
+
+        Float parameters must be finite: ``nan`` and ``inf`` parse as floats
+        but would silently change the comparison they feed (a ``nan`` margin
+        is never reached, an ``inf`` ceiling never binds).
+        """
         if value is None:
             if not self.allow_none:
                 raise SchedulingError(
@@ -271,6 +277,11 @@ class StageParam:
             raise SchedulingError(
                 f"argument {self.name!r} of policy token {str(token)!r} must be "
                 f"{self.type.__name__}, got {value!r}"
+            )
+        if self.type is float and not math.isfinite(value):
+            raise SchedulingError(
+                f"argument {self.name!r} of policy token {str(token)!r} must be "
+                f"finite, got {value!r}"
             )
         return value
 

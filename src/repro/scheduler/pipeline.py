@@ -21,9 +21,9 @@ Stages that implement :class:`~repro.cluster.observers.SimulatorObserver`
 (e.g. the adaptive power-cap stage) are surfaced through :meth:`PolicyPipeline.
 observers`, which the cluster simulator subscribes automatically.
 
-The five legacy monolithic schedulers are expressible as pipelines with
-bit-identical job records; see :mod:`~repro.scheduler.compose` for the canned
-compositions and the spec grammar that names them.
+Every registered policy name is a pipeline; see :mod:`~repro.scheduler.compose`
+for the spec grammar that names any composition and
+:func:`~repro.core.levers.register_policy` for the canned ones.
 """
 
 from __future__ import annotations

@@ -1,31 +1,25 @@
 """GPU power-cap control (the ``c`` lever of Eq. 1).
 
-Two controllers are provided:
-
-* :class:`StaticPowerCapPolicy` — the "optimal power caps" of the paper's
-  Section II.C: a fixed cap (as a fraction of TDP) applied to every job, with
-  an optional exemption for jobs that declared urgency.
-* :class:`AdaptivePowerCapController` — a facility-power-budget follower:
-  when the cluster's projected IT power exceeds the budget it tightens caps
-  on running jobs (largest consumers first); when there is headroom it
-  relaxes them.  This is the control loop an operator would run against a
-  demand-charge or a grid curtailment signal.
+:class:`AdaptivePowerCapController` is a facility-power-budget follower: when
+the cluster's projected IT power exceeds the budget it tightens caps on
+running jobs (largest consumers first); when there is headroom it relaxes
+them.  This is the control loop an operator would run against a
+demand-charge or a grid curtailment signal.  In the staged pipeline it
+surfaces as the ``adaptive`` token
+(:class:`~repro.scheduler.stages.AdaptiveCapStage`), which drives it through
+the simulator's lifecycle hooks.  The paper's fixed "optimal power caps"
+(Section II.C) are the ``cap`` token,
+:class:`~repro.scheduler.stages.StaticCapStage`.
 
 :func:`powercap_energy_tradeoff` computes the energy/time/savings curve for a
 sweep of cap levels, which is the CLAIM-POWERCAP benchmark's payload.
-
-In the staged pipeline these controllers surface as power stages: the static
-policy as the ``cap`` token (:class:`~repro.scheduler.stages.StaticCapStage`)
-and the adaptive controller as the ``adaptive`` token
-(:class:`~repro.scheduler.stages.AdaptiveCapStage`), which drives it through
-the simulator's lifecycle hooks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -35,40 +29,7 @@ from ..parallel.sweep import ParameterSweep, SweepPoint, grid_points
 from ..telemetry.gpu_power import GpuPowerModel, get_gpu_spec
 from .job import Job
 
-__all__ = ["StaticPowerCapPolicy", "AdaptivePowerCapController", "powercap_energy_tradeoff", "PowerCapSweepPoint"]
-
-
-class StaticPowerCapPolicy:
-    """A fixed power cap applied uniformly (the paper's "fixed component").
-
-    Parameters
-    ----------
-    cap_fraction:
-        Cap as a fraction of TDP applied to jobs.
-    exempt_queues:
-        Queue names whose jobs run uncapped (e.g. the urgent queue).
-    """
-
-    def __init__(self, cap_fraction: float = 0.75, exempt_queues: Iterable[str] = ("urgent",)) -> None:
-        if not 0.0 < cap_fraction <= 1.0:
-            raise SchedulingError(f"cap_fraction must lie in (0, 1], got {cap_fraction!r}")
-        self.cap_fraction = float(cap_fraction)
-        self.exempt_queues = frozenset(exempt_queues)
-
-    def cap_for(self, job: Job) -> Optional[float]:
-        """The cap fraction to apply to ``job`` (``None`` = uncapped).
-
-        A cap already agreed by the job (via its queue or the two-part
-        mechanism) takes precedence when it is *stricter* than the policy cap.
-        """
-        if job.queue_name in self.exempt_queues:
-            return job.power_cap_fraction
-        if job.power_cap_fraction is not None:
-            return min(job.power_cap_fraction, self.cap_fraction)
-        return self.cap_fraction
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"StaticPowerCapPolicy(cap_fraction={self.cap_fraction})"
+__all__ = ["AdaptivePowerCapController", "powercap_energy_tradeoff", "PowerCapSweepPoint"]
 
 
 class AdaptivePowerCapController:

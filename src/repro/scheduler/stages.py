@@ -24,10 +24,12 @@ number of gates, one placement and a power chain into a full
 :mod:`~repro.scheduler.compose` makes any such composition addressable by a
 spec string.
 
-The concrete stages below reproduce the behaviour of the five legacy
-monolithic schedulers *bit-for-bit* (see ``tests/test_policy_compose.py``):
-the deferral predicates, cap arithmetic and power-budget estimator are kept
-operation-for-operation identical to the originals.
+The registered policy names (``fifo``, ``backfill``, ``energy-aware``,
+``carbon-aware``, ``deadline-aware``) are compositions of these stages.  Their
+job records are hash-pinned in ``tests/test_policy_compose.py`` and
+``tests/test_cluster_state_parity.py``, so a change to a deferral predicate,
+the cap arithmetic or the power-budget estimator below that moves a single
+job record fails a pin.
 """
 
 from __future__ import annotations
@@ -67,9 +69,8 @@ def estimate_job_it_power_w(job: Job, cluster: Cluster, cap_fraction: Optional[f
     """Rough per-job IT power estimate used for facility-budget checks.
 
     GPU power at the cap plus a share of node overhead proportional to the
-    fraction of a node used.  Shared by :class:`PowerBudgetGate` and the
-    legacy :class:`~repro.scheduler.energy_aware.EnergyAwareScheduler` so the
-    bit-parity between them cannot drift.
+    fraction of a node used.  :class:`PowerBudgetGate` uses it both to admit a
+    start and to add the start to its projected IT power.
     """
     spec = cluster.gpu_spec
     cap_w = None if cap_fraction is None else cap_fraction * spec.tdp_w
@@ -202,8 +203,8 @@ class _DeferralGate(AdmissionGate):
 
     While the environment signal is *unfavourable*, deferrable jobs wait until
     their ``max_defer_h`` window expires; with ``defer_non_deferrable`` even
-    unmarked jobs are held for up to ``grace_h`` hours.  The predicates are
-    kept bit-identical to ``CarbonAwareScheduler._may_start_now``.
+    unmarked jobs are held for up to ``grace_h`` hours.  Both deadlines carry
+    a ``1e-9`` h tolerance, so a job due exactly at a scheduling point starts.
     """
 
     def __init__(self, *, defer_non_deferrable: bool = False, grace_h: float = 6.0) -> None:
@@ -291,11 +292,10 @@ class RenewableShareGate(_DeferralGate):
 class DeadlineSlackGate(AdmissionGate):
     """Use deadline slack (not just the deferability flag) to ride out dirty hours.
 
-    The Section II.A x III combination from the legacy deadline-aware policy:
+    The Section II.A x III combination behind the ``deadline-aware`` policy:
     during dirty hours a deadline-carrying job waits until its latest feasible
-    start (minus a safety margin); jobs without deadlines fall back to the
-    explicit deferability contract.  Bit-identical to
-    ``DeadlineAwareScheduler._may_start_now``.
+    start (at full speed) minus a safety margin; jobs without deadlines fall
+    back to the explicit deferability contract.
     """
 
     name = "slack"
@@ -332,8 +332,8 @@ class PowerBudgetGate(AdmissionGate):
     Converts the context's ``facility_power_budget_w`` into an IT budget at
     the current PUE and projects each candidate start's IT power on top of the
     running total; jobs that would overshoot are skipped this round.  The
-    per-job estimator is kept operation-for-operation identical to
-    ``EnergyAwareScheduler._estimated_job_power_w``.
+    per-job estimate is :func:`estimate_job_it_power_w` at the job's resolved
+    cap, which is why the pipeline resolves caps before consulting gates.
     """
 
     name = "budget"
@@ -404,9 +404,9 @@ class PowerStage:
 class StaticCapStage(PowerStage):
     """A fixed cap fraction with queue exemptions (Section II.C's fixed component).
 
-    Reproduces :class:`~repro.scheduler.powercap.StaticPowerCapPolicy.cap_for`
-    exactly when the chain's running value is the job's own cap: exempt queues
-    keep whatever they agreed, everyone else gets ``min(agreed, cap)``.
+    Exempt queues keep the chain's running value (at the head of the chain,
+    the job's own agreed cap); every other job gets ``min(running, cap)``, or
+    ``cap`` when it has none — an agreed cap stricter than the stage's wins.
     """
 
     name = "cap"
@@ -436,8 +436,8 @@ class DirtyHourCapStage(PowerStage):
 
     Deferral moves deferrable work into green hours; this stage slows down
     the work that cannot wait, so proportionally more of the facility's
-    energy is drawn when the grid is green.  Bit-identical to the dirty-hour
-    arm of ``CarbonAwareScheduler._cap_for``.
+    energy is drawn when the grid is green.  In green hours the running value
+    passes through unchanged.
     """
 
     name = "dirty-cap"

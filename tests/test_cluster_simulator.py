@@ -8,14 +8,23 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.errors import SimulationError
-from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
+from repro.scheduler.compose import build_pipeline
 from repro.scheduler.job import Job, JobState
 
 
 FACILITY = FacilityConfig(n_nodes=2, gpus_per_node=4)
+
+#: Explicit pipeline spellings of the policies exercised below.
+SPELLINGS = {
+    "fifo": "fifo",
+    "backfill": "backfill",
+    "energy-aware": "backfill+cap(fraction=0.75)+budget",
+    "carbon-aware": "backfill+carbon(cap=0.7)",
+}
+
+
+def pipeline(policy: str):
+    return build_pipeline(SPELLINGS[policy], name=policy)
 
 
 def make_job(job_id: str, n_gpus: int, duration: float, submit: float, **kw) -> Job:
@@ -25,7 +34,7 @@ def make_job(job_id: str, n_gpus: int, duration: float, submit: float, **kw) -> 
 
 def run(jobs, scheduler=None, config=None, **kwargs):
     simulator = ClusterSimulator(
-        Cluster(FACILITY), scheduler or BackfillScheduler(), config or SimulationConfig(horizon_h=48.0), **kwargs
+        Cluster(FACILITY), scheduler or pipeline("backfill"), config or SimulationConfig(horizon_h=48.0), **kwargs
     )
     return simulator.run(jobs)
 
@@ -94,7 +103,7 @@ class TestPowerAccounting:
 
     def test_cooling_requires_weather(self):
         with pytest.raises(SimulationError):
-            ClusterSimulator(Cluster(FACILITY), FifoScheduler(), cooling=CoolingModel())
+            ClusterSimulator(Cluster(FACILITY), pipeline("fifo"), cooling=CoolingModel())
 
     def test_cooling_raises_facility_energy(self, small_weather):
         config = SimulationConfig(horizon_h=48.0)
@@ -131,10 +140,10 @@ class TestPowerAccounting:
 
 class TestPowerCapsInSimulation:
     def test_caps_stretch_duration_and_lower_energy(self):
-        uncapped = run([make_job("a", 4, 10.0, 0.0, utilization=1.0)], scheduler=BackfillScheduler())
+        uncapped = run([make_job("a", 4, 10.0, 0.0, utilization=1.0)], scheduler=pipeline("backfill"))
         capped = run(
             [make_job("a", 4, 10.0, 0.0, utilization=1.0)],
-            scheduler=EnergyAwareScheduler(),
+            scheduler=pipeline("energy-aware"),
         )
         rec_uncapped = uncapped.job_records[0]
         rec_capped = capped.job_records[0]
@@ -174,7 +183,7 @@ class TestCarbonAwareIntegration:
         ]
         result = run(
             jobs,
-            scheduler=CarbonAwareScheduler(),
+            scheduler=pipeline("carbon-aware"),
             config=SimulationConfig(horizon_h=48.0),
             weather_hourly_c=small_weather,
             cooling=CoolingModel(),
@@ -188,7 +197,7 @@ class TestCarbonAwareIntegration:
         """Different policies must deliver the same completed GPU-hours on a
         trace that fits comfortably inside the horizon (the activity side of Eq. 1)."""
         results = []
-        for scheduler in (BackfillScheduler(), EnergyAwareScheduler(), CarbonAwareScheduler()):
+        for scheduler in (pipeline("backfill"), pipeline("energy-aware"), pipeline("carbon-aware")):
             sim = ClusterSimulator(
                 Cluster(FacilityConfig(n_nodes=16, gpus_per_node=2)),
                 scheduler,

@@ -28,11 +28,7 @@ from repro.cluster.resources import Cluster, NodeState
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler.backfill import BackfillScheduler
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.deadline_aware import DeadlineAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
-from repro.scheduler.fifo import FifoScheduler
+from repro.scheduler.compose import build_pipeline
 from repro.telemetry.gpu_power import GpuPowerModel, get_gpu_spec
 from repro.timeutils import SimulationCalendar
 from repro.workloads.demand import DeadlineDemandModel
@@ -238,12 +234,14 @@ PRE_REFACTOR_METRICS = {
     "deadline-aware": (1828.7097834634963, 1982.8102422810566, 3744.4164705279586, 2.9088644563804165),
 }
 
+#: The pipeline spelling of each pinned policy (the defaults of the
+#: pre-refactor scheduler classes the pins above were captured from).
 SCHEDULERS = {
-    "backfill": BackfillScheduler,
-    "fifo": FifoScheduler,
-    "energy-aware": EnergyAwareScheduler,
-    "carbon-aware": CarbonAwareScheduler,
-    "deadline-aware": DeadlineAwareScheduler,
+    "backfill": "backfill",
+    "fifo": "fifo",
+    "energy-aware": "backfill+cap(fraction=0.75)+budget",
+    "carbon-aware": "backfill+carbon(cap=0.7)",
+    "deadline-aware": "edf+backfill+slack(margin=2.0)",
 }
 
 
@@ -282,7 +280,7 @@ def test_end_to_end_matches_pre_refactor(policy, parity_world):
     weather, grid, jobs = parity_world
     simulator = ClusterSimulator(
         Cluster(FACILITY),
-        SCHEDULERS[policy](),
+        build_pipeline(SCHEDULERS[policy], name=policy),
         SimulationConfig(horizon_h=HORIZON_H),
         weather_hourly_c=weather,
         cooling=CoolingModel(),
@@ -303,7 +301,7 @@ def test_power_series_matches_recompute_at_every_tick(parity_world):
     weather, grid, jobs = parity_world
     fast = ClusterSimulator(
         Cluster(FACILITY),
-        BackfillScheduler(),
+        build_pipeline("backfill", name="backfill"),
         SimulationConfig(horizon_h=HORIZON_H),
         weather_hourly_c=weather,
         cooling=CoolingModel(),

@@ -28,8 +28,6 @@ from repro.core.objective import (
 )
 from repro.cluster.simulator import JobRecord, SimulationConfig, SimulationResult
 from repro.errors import OptimizationError
-from repro.scheduler.carbon_aware import CarbonAwareScheduler
-from repro.scheduler.energy_aware import EnergyAwareScheduler
 
 
 def make_result(facility_kwh=100.0, it_kwh=80.0, delivered=50.0, emissions_profile=300.0):

@@ -11,7 +11,7 @@ from repro.core.objective import ActivityConstraint, ActivityKind, EnergyObjecti
 from repro.core.optimizer import DatacenterOptimizer
 from repro.core.user_level import per_user_decomposition
 from repro.errors import OptimizationError
-from repro.scheduler.backfill import BackfillScheduler
+from repro.scheduler.compose import build_pipeline
 
 
 FACILITY = FacilityConfig(n_nodes=8, gpus_per_node=2)
@@ -94,7 +94,7 @@ class TestPerUserDecomposition:
     def result(self, job_trace, small_facility):
         simulator = ClusterSimulator(
             Cluster(small_facility),
-            BackfillScheduler(),
+            build_pipeline("backfill", name="backfill"),
             SimulationConfig(horizon_h=8 * 24.0),
         )
         return simulator.run([j.clone_pending() for j in job_trace])

@@ -159,6 +159,10 @@ class TestRouterGrammar:
         with pytest.raises(FleetError, match="missing required argument"):
             make_router("carbon-cap")
 
+    def test_non_finite_float_argument_raises(self):
+        with pytest.raises(FleetError, match="router token 'carbon-cap\\(max=nan\\)'.*finite"):
+            make_router("carbon-cap(max=nan)")
+
     def test_register_router_duplicate_raises(self):
         with pytest.raises(FleetError, match="already registered"):
             register_router(

@@ -45,7 +45,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.parallel import ParallelConfig
-from repro.scheduler.backfill import BackfillScheduler
+from repro.scheduler.compose import build_pipeline
 from repro.scheduler.job import Job
 
 
@@ -317,7 +317,10 @@ def _jobs(n=6):
 
 def _simulator(**kwargs) -> ClusterSimulator:
     return ClusterSimulator(
-        Cluster(FACILITY), BackfillScheduler(), SimulationConfig(horizon_h=24.0), **kwargs
+        Cluster(FACILITY),
+        build_pipeline("backfill", name="backfill"),
+        SimulationConfig(horizon_h=24.0),
+        **kwargs,
     )
 
 

@@ -5,16 +5,15 @@ Four layers of evidence:
 1. **Grammar** — ``PolicySpec`` parse -> str round-trips (property-based over
    both arbitrary grammar-valid tokens and the registered vocabulary), and
    invalid specs raise :class:`SchedulingError` naming the offending token.
-2. **Composition parity (hash-pinned)** — every legacy registry name builds a
-   pipeline whose job records are *bit-identical* to the pre-refactor
+2. **Composition parity (hash-pinned)** — every registered policy name builds
+   a pipeline whose job records are *bit-identical* to the pre-refactor
    monolithic schedulers, pinned on the seeded ``supercloud-small`` /
-   ``supercloud-medium`` scenarios across cap and facility-budget settings,
-   and on the ``tests/test_cluster_state_parity.py`` world (whose pinned
-   hashes date back to the pre-pipeline *and* pre-array-refactor seed
-   implementation).
-3. **Explicit spellings** — the canned compositions equal their explicit
-   pipeline spelling, and the legacy scheduler classes (kept as references)
-   equal the pipelines, record for record.
+   ``supercloud-medium`` scenarios across cap and facility-budget settings.
+   The ``tests/test_cluster_state_parity.py`` world pins the explicit
+   spellings against the pre-pipeline *and* pre-array-refactor seed
+   implementation.
+3. **Explicit spellings** — each explicit pipeline spelling reproduces the
+   pinned records of the scheduler it names.
 4. **Lifecycle hooks** — simulator observers fire at the documented points,
    attaching them does not perturb results, and the adaptive power-cap stage
    drives running-job caps through the hook API.
@@ -34,13 +33,6 @@ from repro.core.levers import make_scheduler
 from repro.errors import SchedulingError
 from repro.experiments.spec import get_scenario
 from repro.grid.iso_ne import IsoNeLikeGrid
-from repro.scheduler import (
-    BackfillScheduler,
-    CarbonAwareScheduler,
-    DeadlineAwareScheduler,
-    EnergyAwareScheduler,
-    FifoScheduler,
-)
 from repro.scheduler.compose import (
     PolicySpec,
     StageSpec,
@@ -158,12 +150,28 @@ INVALID_SPECS = [
 ]
 
 
+#: Specs whose float parameters parse but are not finite.
+NON_FINITE_SPECS = [
+    "slack(margin=nan)",
+    "backfill+carbon(grace=nan,defer_all=true)",
+    "price(ceiling=nan)",
+    "price(ceiling=inf)",
+    "adaptive(budget_w=nan)",
+    "adaptive(budget_w=inf)",
+]
+
+
 class TestInvalidSpecs:
     @pytest.mark.parametrize("text,needle", INVALID_SPECS)
     def test_invalid_spec_raises_with_offending_token(self, text, needle):
         with pytest.raises(SchedulingError) as excinfo:
             build_pipeline(text)
         assert needle in str(excinfo.value)
+
+    @pytest.mark.parametrize("text", NON_FINITE_SPECS)
+    def test_non_finite_float_parameter_raises(self, text):
+        with pytest.raises(SchedulingError, match="must be finite"):
+            build_pipeline(text)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +231,25 @@ PRE_REFACTOR_PIPELINE_HASHES = {
     ("supercloud-medium", "deadline-aware", 0.7, 60000.0): "1b1ef7c3760805fa5a6d597b84e6cfa49b9ec2fce64b14747d05424dcdf34b66",
 }
 
-#: The explicit pipeline spelling of each *default-constructed* legacy
-#: scheduler class (the parity references kept in the scheduler package).
-EXPLICIT_SPELLINGS = {
-    "fifo": "fifo",
-    "backfill": "backfill",
-    "energy-aware": "backfill+cap(fraction=0.75)+budget",
-    "carbon-aware": "backfill+carbon(cap=0.7)",
-    "deadline-aware": "edf+backfill+slack(margin=2.0)",
+#: The explicit pipeline spelling of each registered policy name, with the
+#: defaults of the pre-refactor scheduler classes.
+EXPLICIT_SPELLINGS = state_parity.SCHEDULERS
+
+#: sha256 fingerprints of each explicit spelling's job records on
+#: ``supercloud-small`` under its binding facility budget, recorded from the
+#: default-constructed pre-refactor scheduler classes.  ``energy-aware`` has
+#: no registry equivalent (the class capped at 0.75, the registered name caps
+#: at 1.0 unless given a cap), so its value is pinned here directly.
+EXPLICIT_SPELLING_HASHES = {
+    "fifo": PRE_REFACTOR_PIPELINE_HASHES[("supercloud-small", "fifo", None, 18000.0)],
+    "backfill": PRE_REFACTOR_PIPELINE_HASHES[("supercloud-small", "backfill", None, 18000.0)],
+    "energy-aware": "7d36e835ddf1a2738561583b8ab479dc6cbb4dc377bb220bcba66fd1a7563e9f",
+    "carbon-aware": PRE_REFACTOR_PIPELINE_HASHES[
+        ("supercloud-small", "carbon-aware", None, 18000.0)
+    ],
+    "deadline-aware": PRE_REFACTOR_PIPELINE_HASHES[
+        ("supercloud-small", "deadline-aware", None, 18000.0)
+    ],
 }
 
 
@@ -285,44 +304,13 @@ class TestPinnedCompositionParity:
 
     @pytest.mark.parametrize("policy", sorted(EXPLICIT_SPELLINGS))
     def test_explicit_spelling_equals_canned_composition(self, compose_worlds, policy):
-        spelled = build_pipeline(EXPLICIT_SPELLINGS[policy])
+        spelled = build_pipeline(EXPLICIT_SPELLINGS[policy], name=policy)
         world = compose_worlds["supercloud-small"]
         budget = PARITY_WORLDS["supercloud-small"][1]
         spelled_fp = state_parity._records_fingerprint(
             _run_policy(world, spelled, budget=budget)
         )
-        legacy_cls = state_parity.SCHEDULERS[policy]
-        legacy_fp = state_parity._records_fingerprint(
-            _run_policy(world, legacy_cls(), budget=budget)
-        )
-        assert spelled_fp == legacy_fp
-
-
-class TestStateParityHarnessReuse:
-    """The pipelines on the test_cluster_state_parity world and its old pins."""
-
-    @pytest.mark.parametrize("policy", sorted(EXPLICIT_SPELLINGS))
-    def test_explicit_spelling_matches_seed_implementation_hashes(
-        self, policy, parity_world
-    ):
-        weather, grid, jobs = parity_world
-        simulator = ClusterSimulator(
-            Cluster(state_parity.FACILITY),
-            build_pipeline(EXPLICIT_SPELLINGS[policy]),
-            SimulationConfig(horizon_h=state_parity.HORIZON_H),
-            weather_hourly_c=weather,
-            cooling=CoolingModel(),
-            grid=grid,
-            parity_check=True,
-        )
-        result = simulator.run([job.clone_pending() for job in jobs])
-        fingerprint = state_parity._records_fingerprint(result)
-        assert fingerprint == state_parity.PRE_REFACTOR_RECORD_HASHES[policy]
-
-
-# Reuse the hash-pinned parity world exactly as test_cluster_state_parity
-# builds it (module-scoped there; re-declared here for this module's scope).
-parity_world = state_parity.parity_world
+        assert spelled_fp == EXPLICIT_SPELLING_HASHES[policy]
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,10 @@ class TestSessionLifecycle:
         with pytest.raises(ServeError, match="400"):
             client.advance("s1", until_h=80.0)  # finalized
 
+    def test_non_finite_policy_parameter_is_400(self, client):
+        with pytest.raises(ServeError, match="400.*must be finite"):
+            _create(client, policy="backfill+slack(margin=nan)")
+
     def test_duplicate_and_past_submissions_rejected(self, client):
         _create(client, preload_jobs=0)
         job = {"job_id": "j", "user_id": "u", "n_gpus": 1, "duration_h": 1.0,
