@@ -15,10 +15,10 @@ design contract is that this costs nothing measurable —
 
 The gate interleaves traced and untraced rounds and takes the **minimum
 paired ratio**: each round times the two modes back-to-back under the same
-ambient conditions, and the best round estimates the overhead floor.  (The
-fleet lockstep gate's min-of-each-mode discipline works for its 1.3x budget
-but is too noisy for a 5% one: two ~100 ms floors drift a few percent apart
-between processes on a shared machine.)  One pytest-benchmark entry records
+ambient conditions, and the best round estimates the overhead floor.  (A
+min-of-each-mode ratio is too noisy for a 5% budget: two ~100 ms floors
+drift a few percent apart between processes on a shared machine.  The fleet
+lockstep gate uses the same paired discipline.)  One pytest-benchmark entry records
 the traced run for the committed ``BENCH_<n>.json`` perf trajectory.
 """
 

@@ -10,19 +10,29 @@ Incremental state model
 -----------------------
 Every experiment bottoms out in :class:`~repro.cluster.simulator.
 ClusterSimulator`, which queries and mutates this pool millions of times per
-run, so the pool is built for O(1) hot-path queries instead of whole-cluster
-rescans:
+run, so the pool is built for hot-path work proportional to the GPUs a call
+touches, never to the size of the cluster:
 
-* **Arrays are the source of truth.**  Per-GPU state lives in NumPy arrays
-  indexed ``[node, gpu]``: an allocated mask, the utilization driven by the
-  running job, and the enforced power cap (NaN = uncapped).  Job ids are kept
-  in a parallel list-of-lists (strings don't belong in float arrays).
-* **Counters are maintained, not recomputed.**  Per-node free-GPU counts, the
-  cluster-wide free/busy totals, and the occupied/drained node counts are
-  updated by the few GPUs each ``allocate``/``release`` touches, so
-  ``n_free_gpus`` / ``can_fit`` are O(1) and placement sorts nodes by
-  occupancy with one vectorized ``argsort`` instead of rebuilding per-node
-  free lists.
+* **Arrays are the source of truth for per-GPU state.**  Per-GPU state lives
+  in NumPy arrays indexed ``[node, gpu]``: an allocated mask, the utilization
+  driven by the running job, and the enforced power cap (NaN = uncapped).
+  Job ids are kept in a parallel list-of-lists (strings don't belong in float
+  arrays); a slot holds ``None`` exactly when its GPU is free.
+* **Counters are maintained, not recomputed.**  Per-node free-GPU counts and
+  drain flags (plain lists, read one node at a time), the cluster-wide
+  free/busy totals, and the occupied/drained node counts are updated by the
+  few GPUs each ``allocate``/``release`` touches, so ``n_free_gpus`` /
+  ``can_fit`` are O(1).
+* **Placement reads occupancy buckets.**  For every free-GPU count
+  ``f = 1..G`` (``G`` GPUs per node) the pool keeps a min-heap of the ids of
+  the in-service nodes with exactly ``f`` free GPUs.  Packing walks the
+  buckets from ``f = 1`` up, spreading from ``f = G`` down, each in node-id
+  order — the ``(free, node_id)`` order a stable sort of the whole cluster
+  would give — so ``allocate`` costs O(nodes touched x log nodes).  Entries
+  are invalidated lazily: a node whose count changed (or that was drained)
+  is re-pushed into its new bucket, and its old entry is dropped when it
+  surfaces at the top of a heap.  A per-bucket flag keeps at most one entry
+  per node and bucket, so the heaps never outgrow the node count.
 * **IT power is delta-maintained.**  Each allocation contributes
   ``n_gpus x power_w(utilization, cap)`` (uniform across a job's GPUs by
   construction); ``allocate``/``release``/``set_power_limit``/``drain_nodes``
@@ -34,8 +44,9 @@ rescans:
   (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is preserved as
   lightweight views over the arrays, so schedulers, tests and user code read
   the same state without the pool paying to keep thousands of Python objects
-  coherent.  Writing through a view keeps the counters correct but drops the
-  power cache to the recompute path until the cluster next drains empty.
+  coherent.  Writing through a view keeps the counters and buckets correct
+  but drops the power cache to the recompute path until the cluster next
+  drains empty.
 """
 
 from __future__ import annotations
@@ -43,7 +54,8 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -249,9 +261,11 @@ class Cluster:
         self._job_ids: list[list[Optional[str]]] = [
             [None] * gpus_per_node for _ in range(n_nodes)
         ]
-        # Incrementally maintained counters.
-        self._node_free = np.full(n_nodes, gpus_per_node, dtype=np.int64)
-        self._drained = np.zeros(n_nodes, dtype=bool)
+        # Incrementally maintained counters (per-node ones as plain lists:
+        # the hot paths read them one node at a time).
+        self._node_free: list[int] = [gpus_per_node] * n_nodes
+        self._drained: list[bool] = [False] * n_nodes
+        self._rebuild_buckets()
         self._free_gpus_nondrained = n_nodes * gpus_per_node
         self._busy_gpus = 0
         self._n_occupied = 0
@@ -314,6 +328,45 @@ class Cluster:
         return self._utilization[self._allocated]
 
     # ------------------------------------------------------------------
+    # Occupancy buckets (see the module docstring)
+    # ------------------------------------------------------------------
+    def _rebuild_buckets(self) -> None:
+        """Rebuild every bucket from the per-node counters.
+
+        Node ids are appended in ascending order, so each list already is a
+        valid min-heap.  Bucket 0 stays empty: a full node is never a
+        placement candidate.
+        """
+        n_nodes, gpus_per_node = self._n_nodes, self._gpus_per_node
+        self._buckets: list[list[int]] = [[] for _ in range(gpus_per_node + 1)]
+        self._queued: list[bytearray] = [bytearray(n_nodes) for _ in range(gpus_per_node + 1)]
+        for node_id in range(n_nodes):
+            free = self._node_free[node_id]
+            if free and not self._drained[node_id]:
+                self._buckets[free].append(node_id)
+                self._queued[free][node_id] = 1
+
+    def _enqueue(self, node_id: int) -> None:
+        """Put ``node_id`` into the bucket of its current free count.
+
+        Called after every change to a node's free count or drain flag.  An
+        entry already queued there (left behind by an earlier visit) becomes
+        valid again instead of being duplicated.
+        """
+        free = self._node_free[node_id]
+        if free and not self._drained[node_id]:
+            queued = self._queued[free]
+            if not queued[node_id]:
+                queued[node_id] = 1
+                heappush(self._buckets[free], node_id)
+
+    def _free_indices(self, node_id: int, free: int) -> range | list[int]:
+        """The free GPU indices of ``node_id`` (``free`` of them), ascending."""
+        if free == self._gpus_per_node:
+            return range(free)
+        return [index for index, job in enumerate(self._job_ids[node_id]) if job is None]
+
+    # ------------------------------------------------------------------
     # Allocation / release
     # ------------------------------------------------------------------
     def allocate(
@@ -329,9 +382,15 @@ class Cluster:
 
         With ``pack=True`` (the default, and what energy-aware policies want)
         GPUs are taken from the most-occupied nodes first so fewer nodes are
-        woken up; with ``pack=False`` they are taken from the least-occupied
-        nodes (spreading, which can help thermals but costs idle overhead).
-        Only the touched nodes' counters are updated.
+        woken up: nodes are filled in ascending ``(free, node_id)`` order, the
+        last one possibly in part.  With ``pack=False`` GPUs are taken one at
+        a time from the node with the most free GPUs remaining, lowest id
+        first (spreading, which can help thermals but costs idle overhead).
+        Within a node the lowest free GPU indices go first.
+
+        Both modes read the occupancy buckets instead of scanning the
+        cluster, so the cost is O(nodes touched x log nodes), and only the
+        touched nodes' counters are updated.
         """
         if job_id in self._allocations:
             raise ResourceError(f"job {job_id!r} already holds an allocation")
@@ -341,53 +400,65 @@ class Cluster:
             raise ResourceError(
                 f"cannot allocate {n_gpus} GPUs: only {self.n_free_gpus} free"
             )
-        free = np.where(self._drained, 0, self._node_free)
+        gpus_per_node = self._gpus_per_node
+        node_free = self._node_free
+        drained = self._drained
+        buckets = self._buckets
+        queued = self._queued
         locations: list[tuple[int, int]] = []
+        newly_occupied = 0
         if pack:
-            # Fill the most-occupied nodes first (ties by node id, which the
-            # stable argsort preserves since candidates are id-ordered).
-            candidates = np.flatnonzero(free > 0)
-            order = candidates[np.argsort(free[candidates], kind="stable")]
+            # can_fit guarantees the walk ends before the top bucket runs dry.
             remaining = n_gpus
-            for node_id in order:
-                free_indices = np.flatnonzero(~self._allocated[node_id])
-                take = free_indices if free_indices.size <= remaining else free_indices[:remaining]
-                node_id = int(node_id)
-                locations.extend((node_id, int(index)) for index in take)
-                remaining -= take.size
-                if remaining == 0:
-                    break
+            free = 0
+            while remaining:
+                free += 1
+                heap = buckets[free]
+                flags = queued[free]
+                while heap and remaining:
+                    node_id = heappop(heap)
+                    flags[node_id] = 0
+                    if node_free[node_id] != free or drained[node_id]:
+                        continue  # stale entry: the node moved on
+                    take = free if free <= remaining else remaining
+                    if free == gpus_per_node:
+                        newly_occupied += 1
+                    indices = self._free_indices(node_id, free)
+                    locations.extend([(node_id, index) for index in indices[:take]])
+                    node_free[node_id] = free - take
+                    remaining -= take
+            # Only the last node can have been taken in part.
+            self._enqueue(node_id)
         else:
-            # Spread: take one GPU at a time from the emptiest node remaining
-            # (argmax returns the first maximum, i.e. the lowest node id).
-            free = free.copy()
-            cursors: dict[int, int] = {}
-            free_rows: dict[int, np.ndarray] = {}
+            top = gpus_per_node
+            cursors: dict[int, Iterator[int]] = {}
             for _ in range(n_gpus):
-                node_id = int(np.argmax(free))
-                row = free_rows.get(node_id)
-                if row is None:
-                    row = np.flatnonzero(~self._allocated[node_id])
-                    free_rows[node_id] = row
-                cursor = cursors.get(node_id, 0)
-                locations.append((node_id, int(row[cursor])))
-                cursors[node_id] = cursor + 1
-                free[node_id] -= 1
-        # Commit: per-GPU arrays, then the touched nodes' counters.
+                while True:
+                    heap = buckets[top]
+                    if not heap:
+                        top -= 1
+                        continue
+                    node_id = heappop(heap)
+                    queued[top][node_id] = 0
+                    if node_free[node_id] == top and not drained[node_id]:
+                        break
+                cursor = cursors.get(node_id)
+                if cursor is None:
+                    if top == gpus_per_node:
+                        newly_occupied += 1
+                    cursor = cursors[node_id] = iter(self._free_indices(node_id, top))
+                locations.append((node_id, next(cursor)))
+                node_free[node_id] = top - 1
+                self._enqueue(node_id)
+        # Commit: per-GPU arrays (the node counters moved during the walk).
         utilization = float(utilization)
         cap = None if power_limit_w is None else float(power_limit_w)
         cap_value = np.nan if cap is None else cap
-        gpus_per_node = self._gpus_per_node
-        newly_occupied = 0
-        node_free = self._node_free
         for node_id, index in locations:
             self._allocated[node_id, index] = True
             self._utilization[node_id, index] = utilization
             self._power_cap_w[node_id, index] = cap_value
             self._job_ids[node_id][index] = job_id
-            if node_free[node_id] == gpus_per_node:
-                newly_occupied += 1
-            node_free[node_id] -= 1
         self._free_gpus_nondrained -= n_gpus
         self._busy_gpus += n_gpus
         self._n_occupied += newly_occupied
@@ -418,6 +489,8 @@ class Cluster:
             node_free[node_id] += 1
             if node_free[node_id] == gpus_per_node:
                 newly_idle += 1
+        for node_id in {node_id for node_id, _ in allocation.gpu_locations}:
+            self._enqueue(node_id)
         n_gpus = allocation.n_gpus
         self._free_gpus_nondrained += n_gpus
         self._busy_gpus -= n_gpus
@@ -458,25 +531,33 @@ class Cluster:
         """
         if n_nodes < 0:
             raise ResourceError(f"n_nodes must be non-negative, got {n_nodes!r}")
+        # The in-service idle nodes are the live entries of the top bucket,
+        # which pops them lowest id first.
         drained = 0
         gpus_per_node = self._gpus_per_node
-        for node_id in range(self._n_nodes):
-            if drained >= n_nodes:
-                break
-            if not self._drained[node_id] and self._node_free[node_id] == gpus_per_node:
-                self._drained[node_id] = True
-                self._n_drained += 1
-                self._free_gpus_nondrained -= gpus_per_node
-                drained += 1
+        heap = self._buckets[gpus_per_node]
+        queued = self._queued[gpus_per_node]
+        while drained < n_nodes and heap:
+            node_id = heappop(heap)
+            queued[node_id] = 0
+            if self._drained[node_id] or self._node_free[node_id] != gpus_per_node:
+                continue
+            self._drained[node_id] = True
+            self._n_drained += 1
+            self._free_gpus_nondrained -= gpus_per_node
+            drained += 1
         return drained
 
     def undrain_all(self) -> None:
         """Return every drained node to service."""
-        drained_ids = np.flatnonzero(self._drained)
-        if drained_ids.size:
-            self._free_gpus_nondrained += int(self._node_free[drained_ids].sum())
-            self._drained[drained_ids] = False
-            self._n_drained = 0
+        if not self._n_drained:
+            return
+        for node_id, is_drained in enumerate(self._drained):
+            if is_drained:
+                self._drained[node_id] = False
+                self._free_gpus_nondrained += self._node_free[node_id]
+                self._enqueue(node_id)
+        self._n_drained = 0
 
     # ------------------------------------------------------------------
     # Power
@@ -509,7 +590,7 @@ class Cluster:
         incremental counters.
         """
         facility = self.facility
-        live = ~self._drained
+        live = ~np.array(self._drained, dtype=bool)
         allocated = self._allocated[live]
         n_busy = int(np.count_nonzero(allocated))
         power = (
@@ -597,9 +678,10 @@ class Cluster:
         self._utilization[:] = 0.0
         self._power_cap_w[:] = np.nan
         self._job_ids = [[None] * gpus_per_node for _ in range(n_nodes)]
-        self._node_free[:] = gpus_per_node
-        self._drained[:] = False
-        self._drained[[int(i) for i in state["drained"]]] = True
+        self._node_free = [gpus_per_node] * n_nodes
+        self._drained = [False] * n_nodes
+        for node_id in state["drained"]:
+            self._drained[int(node_id)] = True
         self._allocations = {}
         self._job_power_w = {}
         self._power_dirty = False
@@ -617,13 +699,17 @@ class Cluster:
                 self._node_free[node_id] -= 1
             self._allocations[job_id] = Allocation(job_id=job_id, gpu_locations=locations)
             self._job_power_w[job_id] = float(entry["per_gpu_power_w"])
-        # Derived counters, then the accumulated power total verbatim.
+        # Derived counters and buckets, then the accumulated power total
+        # verbatim.
         self._busy_gpus = int(np.count_nonzero(self._allocated))
-        self._n_occupied = int(np.count_nonzero(self._node_free < gpus_per_node))
-        self._n_drained = int(np.count_nonzero(self._drained))
-        self._free_gpus_nondrained = int(self._node_free[~self._drained].sum())
+        self._n_occupied = sum(free < gpus_per_node for free in self._node_free)
+        self._n_drained = sum(self._drained)
+        self._free_gpus_nondrained = sum(
+            free for free, is_drained in zip(self._node_free, self._drained) if not is_drained
+        )
+        self._rebuild_buckets()
         self._busy_power_w = float(state["busy_power_w"])
-        # The Node views hold direct array references; nothing to rebuild.
+        # The Node views read through the cluster; nothing to rebuild.
 
     # ------------------------------------------------------------------
     # Direct per-GPU writes (view setters route through here)
@@ -631,8 +717,9 @@ class Cluster:
     def _set_gpu_job_id(self, node_id: int, index: int, job_id: Optional[str]) -> None:
         """Write-through for ``GpuResource.allocated_job_id`` assignments.
 
-        Keeps the occupancy counters exact; the power cache is marked dirty
-        because out-of-band assignments carry no power bookkeeping.
+        Keeps the occupancy counters and buckets exact; the power cache is
+        marked dirty because out-of-band assignments carry no power
+        bookkeeping.
         """
         was_allocated = bool(self._allocated[node_id, index])
         now_allocated = job_id is not None
@@ -656,6 +743,7 @@ class Cluster:
             self._busy_gpus -= 1
             if not self._drained[node_id]:
                 self._free_gpus_nondrained += 1
+        self._enqueue(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -581,20 +581,32 @@ class ClusterSimulator:
             return 1.0
         return float(self._pue_hourly[self._hour_index(now_h)])
 
-    def _context(self, now_h: float) -> SchedulingContext:
+    def grid_signals(
+        self, now_h: float
+    ) -> tuple[Optional[float], Optional[float], Optional[float]]:
+        """``(carbon_intensity_g_per_kwh, price_per_mwh, renewable_share)`` at ``now_h``.
+
+        The grid fields of :meth:`scheduling_context` (``None`` without a
+        grid model), read without building the whole context — fleet routing
+        reads them for every site in every window.
+        """
+        if self._carbon_hourly is None:
+            return None, None, None
         index = self._hour_index(now_h)
+        return (
+            float(self._carbon_hourly[index]),
+            float(self._price_hourly[index]),
+            float(self._renewable_hourly[index]),
+        )
+
+    def _context(self, now_h: float) -> SchedulingContext:
+        carbon, price, renewable = self.grid_signals(now_h)
         return SchedulingContext(
             now_h=now_h,
-            carbon_intensity_g_per_kwh=(
-                float(self._carbon_hourly[index]) if self._carbon_hourly is not None else None
-            ),
+            carbon_intensity_g_per_kwh=carbon,
             carbon_intensity_threshold=self._carbon_threshold,
-            price_per_mwh=(
-                float(self._price_hourly[index]) if self._price_hourly is not None else None
-            ),
-            renewable_share=(
-                float(self._renewable_hourly[index]) if self._renewable_hourly is not None else None
-            ),
+            price_per_mwh=price,
+            renewable_share=renewable,
             outdoor_temperature_c=self._outdoor_temperature(now_h),
             facility_power_budget_w=self.config.facility_power_budget_w,
             current_it_power_w=self._current_it_power_w,

@@ -35,6 +35,9 @@ hosted; worker-side exceptions are forwarded verbatim and re-raised as
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
 
@@ -47,7 +50,7 @@ from ..core.levers import make_scheduler
 from ..errors import FleetError, SimulationError
 from ..experiments.spec import ScenarioSpec
 from ..grid.iso_ne import IsoNeLikeGrid
-from ..obs.recorder import NULL_RECORDER, SpanRecord, TraceRecorder, set_recorder
+from ..obs.recorder import NULL_RECORDER, SpanRecord, set_recorder
 from ..scheduler.job import Job
 
 __all__ = ["SitePayload", "SiteState", "SiteFinal", "FleetWorkerPool", "fleet_start_method"]
@@ -96,11 +99,10 @@ class SiteFinal:
     """One site's end-of-run payload: full result, power summary, and the
     ``fleet.site_advance`` spans recorded while stepping it.
 
-    The spans are what used to be hand-rolled ``perf_counter`` sums: workers
-    (and the serial backend) record one span per site per window into a local
-    :class:`~repro.obs.recorder.TraceRecorder` and ship the batch here at
-    finalize, so parallel traces show per-site timelines and
-    :class:`~repro.fleet.result.FleetStepTimings` stays a pure recorder view.
+    Workers (and the serial backend) time one span per site per window with
+    a :class:`SiteAdvanceLog` and ship the batch here at finalize, so
+    parallel traces show per-site timelines and
+    :class:`~repro.fleet.result.FleetStepTimings` stays a pure span view.
     """
 
     result: SimulationResult
@@ -140,20 +142,75 @@ def build_site_simulator(payload: SitePayload) -> ClusterSimulator:
 def site_state(simulator: ClusterSimulator, now_h: float) -> SiteState:
     """The routing-relevant state of ``simulator`` at ``now_h``.
 
-    Field-for-field the simulator reads of
-    :meth:`FleetSimulator._snapshots`, so coordinator-side snapshots built
-    from this tuple match the serial loop's exactly.
+    The grid signals are the ones the simulator's
+    :meth:`~repro.cluster.simulator.ClusterSimulator.scheduling_context`
+    would carry, read without building the context, so coordinator-side
+    snapshots built from this tuple match in serial and parallel mode.
     """
-    context = simulator.scheduling_context(now_h)
     return (
         simulator.n_pending,
         simulator.n_running,
         simulator.cluster.n_free_gpus,
         simulator.current_it_power_w,
-        context.carbon_intensity_g_per_kwh,
-        context.price_per_mwh,
-        context.renewable_share,
+        *simulator.grid_signals(now_h),
     )
+
+
+class SiteAdvanceLog:
+    """Steps hosted sites through a window and times each site's ``advance``.
+
+    Fleet timings are always on, so this keeps them cheap: one pair of clock
+    reads and one tuple per site per window.  :meth:`spans` turns the log
+    into the ``fleet.site_advance`` span records (one per site per window,
+    with ``site``/``index``/``until_h`` attributes) that
+    :class:`SiteFinal` ships home at finalize.
+    """
+
+    def __init__(self, sims: Mapping[int, ClusterSimulator], names: Mapping[int, str]) -> None:
+        self._sims = sims
+        self._names = names
+        self._order = sorted(sims)
+        self._log: list[tuple[int, float, float, float]] = []
+
+    def advance(self, until_h: float) -> None:
+        """Advance every hosted site to ``until_h``, in member order."""
+        log = self._log
+        for index in self._order:
+            start = time.perf_counter()
+            self._sims[index].advance(until_h)
+            log.append((index, until_h, start, time.perf_counter() - start))
+
+    def spans(self) -> dict[int, tuple[SpanRecord, ...]]:
+        """The logged advances as span records, grouped by member index."""
+        pid, tid = os.getpid(), threading.get_ident()
+        by_site: dict[int, list[SpanRecord]] = {index: [] for index in self._order}
+        for span_id, (index, until_h, start, wall) in enumerate(self._log, start=1):
+            by_site[index].append(
+                SpanRecord(
+                    span_id=span_id,
+                    name="fleet.site_advance",
+                    start_s=start,
+                    wall_s=wall,
+                    pid=pid,
+                    tid=tid,
+                    attributes={"site": self._names[index], "index": index, "until_h": until_h},
+                )
+            )
+        return {index: tuple(records) for index, records in by_site.items()}
+
+
+def finalize_sites(
+    sims: Mapping[int, ClusterSimulator], advance_log: SiteAdvanceLog
+) -> dict[int, SiteFinal]:
+    """Finalize every hosted site, in member order, with its advance spans."""
+    spans = advance_log.spans()
+    finals = {}
+    for index in sorted(sims):
+        result = sims[index].finalize()
+        finals[index] = SiteFinal(
+            result=result, power=sims[index].site_power_summary(), spans=spans[index]
+        )
+    return finals
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +227,8 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
     """
     # Fork-started workers inherit the coordinator's ambient recorder; reset
     # it so instrumented layers in this process stay no-op — site stepping is
-    # timed explicitly into the local recorder below and shipped at finalize.
+    # timed by the advance log below and shipped at finalize.
     set_recorder(NULL_RECORDER)
-    recorder = TraceRecorder()
     sims: dict[int, ClusterSimulator] = {}
     site_names: dict[int, str] = {}
     deferred_error: Optional[str] = None
@@ -185,6 +241,7 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
             conn.send(("error", str(exc)))
             return
         conn.send(("ok", sorted(sims)))
+        advance_log = SiteAdvanceLog(sims, site_names)
         while True:
             message = conn.recv()
             command = message[0]
@@ -206,14 +263,7 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
                             sims[index].submit(job)
                 elif command == "advance":
                     _, until_h, snapshot_h = message
-                    for index in sorted(sims):
-                        with recorder.span(
-                            "fleet.site_advance",
-                            site=site_names[index],
-                            index=index,
-                            until_h=until_h,
-                        ):
-                            sims[index].advance(until_h)
+                    advance_log.advance(until_h)
                     conn.send(
                         ("ok", {i: site_state(sims[i], snapshot_h) for i in sorted(sims)})
                     )
@@ -223,20 +273,7 @@ def _fleet_worker_main(conn: Any, payloads: Sequence[SitePayload]) -> None:
                 elif command == "power-summary":
                     conn.send(("ok", {i: sims[i].site_power_summary() for i in sorted(sims)}))
                 elif command == "finalize":
-                    site_spans: dict[int, list[SpanRecord]] = {i: [] for i in sims}
-                    for record in recorder.spans:
-                        owner = record.attributes.get("index")
-                        if owner in site_spans:
-                            site_spans[owner].append(record)
-                    finals = {}
-                    for index in sorted(sims):
-                        result = sims[index].finalize()
-                        finals[index] = SiteFinal(
-                            result=result,
-                            power=sims[index].site_power_summary(),
-                            spans=tuple(site_spans[index]),
-                        )
-                    conn.send(("ok", finals))
+                    conn.send(("ok", finalize_sites(sims, advance_log)))
                 else:
                     conn.send(("error", f"unknown fleet worker command {command!r}"))
             except Exception as exc:  # noqa: BLE001 - forwarded to the coordinator

@@ -40,10 +40,12 @@ from ..parallel.pool import ParallelConfig
 from ..scheduler.job import Job
 from .parallel import (
     FleetWorkerPool,
+    SiteAdvanceLog,
     SiteFinal,
     SitePayload,
     SiteState,
     build_site_simulator,
+    finalize_sites,
     site_state,
 )
 from .result import FleetResult, FleetStepTimings, JobAssignment
@@ -67,15 +69,14 @@ class _SerialBackend:
         self._payloads = tuple(payloads)
         self._sims: dict[int, Any] = {}
         self._names: dict[int, str] = {}
-        # Site stepping is always timed (FleetStepTimings is a view over
-        # these spans); a private recorder keeps that identical whether or
-        # not the ambient recorder is enabled.
-        self._recorder = TraceRecorder()
 
     def __enter__(self) -> "_SerialBackend":
         for payload in self._payloads:
             self._sims[payload.index] = build_site_simulator(payload)
             self._names[payload.index] = payload.spec.name
+        # Site stepping is always timed (FleetStepTimings is a view over the
+        # logged spans), whether or not the ambient recorder is enabled.
+        self._advance_log = SiteAdvanceLog(self._sims, self._names)
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -95,34 +96,14 @@ class _SerialBackend:
                 self._sims[index].submit(job)
 
     def advance(self, until_h: float, snapshot_h: float) -> dict[int, SiteState]:
-        for index in sorted(self._sims):
-            with self._recorder.span(
-                "fleet.site_advance",
-                site=self._names[index],
-                index=index,
-                until_h=until_h,
-            ):
-                self._sims[index].advance(until_h)
+        self._advance_log.advance(until_h)
         return self._states(snapshot_h)
 
     def snapshot(self, at_h: float) -> dict[int, SiteState]:
         return self._states(at_h)
 
     def finalize(self) -> dict[int, SiteFinal]:
-        site_spans: dict[int, list[SpanRecord]] = {i: [] for i in self._sims}
-        for record in self._recorder.spans:
-            owner = record.attributes.get("index")
-            if owner in site_spans:
-                site_spans[owner].append(record)
-        finals = {}
-        for index in sorted(self._sims):
-            sim = self._sims[index]
-            finals[index] = SiteFinal(
-                result=sim.finalize(),
-                power=sim.site_power_summary(),
-                spans=tuple(site_spans[index]),
-            )
-        return finals
+        return finalize_sites(self._sims, self._advance_log)
 
 
 class FleetSimulator:

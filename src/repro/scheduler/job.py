@@ -9,6 +9,7 @@ relies on (urgency/patience, deadline, willingness to accept power caps).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -85,6 +86,12 @@ class Job:
     energy_j: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN slips through every ordered comparison below, and a NaN or
+        # infinite time never lets the simulator's event loop end.
+        for name in ("submit_time_h", "duration_h", "deadline_h", "max_defer_h"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SchedulingError(f"job {self.job_id!r}: {name} must be finite, got {value!r}")
         if self.n_gpus <= 0:
             raise SchedulingError(f"job {self.job_id!r}: n_gpus must be positive")
         if self.duration_h <= 0:

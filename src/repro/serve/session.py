@@ -469,7 +469,7 @@ class ServeSession:
         """This session's live state as a fleet-routing :class:`SiteSnapshot`."""
         with self.lock:
             simulator = self.simulator
-            context = simulator.scheduling_context(self.advanced_to_h)
+            carbon, price, renewable = simulator.grid_signals(self.advanced_to_h)
             return SiteSnapshot(
                 index=index,
                 name=self.session_id,
@@ -478,9 +478,9 @@ class ServeSession:
                 free_gpus=simulator.cluster.n_free_gpus,
                 total_gpus=simulator.cluster.total_gpus,
                 it_power_w=simulator.current_it_power_w,
-                carbon_intensity_g_per_kwh=context.carbon_intensity_g_per_kwh,
-                price_per_mwh=context.price_per_mwh,
-                renewable_share=context.renewable_share,
+                carbon_intensity_g_per_kwh=carbon,
+                price_per_mwh=price,
+                renewable_share=renewable,
             )
 
 

@@ -62,6 +62,72 @@ class TestEventQueue:
         queue.clear()
         assert queue.is_empty()
 
+    @pytest.mark.parametrize("time_h", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_time(self, time_h):
+        queue = EventQueue()
+        with pytest.raises(SimulationError, match="non-finite"):
+            queue.push(time_h, EventType.TICK)
+        assert queue.is_empty()
+
+    @staticmethod
+    def _random_pushes(queue, rng, n):
+        """Push ``n`` events on few distinct times; returns the pushed events."""
+        types = list(EventType)
+        return [
+            queue.push(
+                queue.now_h + float(rng.integers(0, 4)) * 0.5,
+                types[int(rng.integers(len(types)))],
+                f"p{i}",
+            )
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pop_order_is_time_priority_sequence(self, seed):
+        rng = np.random.default_rng(seed)
+        queue = EventQueue()
+        pushed = self._random_pushes(queue, rng, 60)
+        expected = sorted(pushed, key=lambda e: (e.time_h, int(e.event_type), e.sequence))
+        assert [e.sequence for e in expected] == [e.sequence for e in sorted(pushed)]
+        assert queue.pending_events() == expected
+        assert all(a is b for a, b in zip(queue.pending_events(), expected))
+        assert queue.peek() is expected[0]
+        popped = [queue.pop() for _ in range(len(pushed))]
+        assert all(a is b for a, b in zip(popped, expected))
+        assert queue.now_h == expected[-1].time_h
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_restore_then_advance_matches_uninterrupted(self, seed):
+        """pending_events -> restore -> pop/push continues the original order."""
+        rng = np.random.default_rng(seed)
+        original = EventQueue()
+        self._random_pushes(original, rng, 40)
+        for _ in range(15):
+            original.pop()
+        resumed = EventQueue()
+        resumed.restore(original.pending_events(), original.now_h, original.next_sequence)
+
+        def drive(queue, rng):
+            """Pops interleaved with pushes at or after the clock."""
+            order = []
+            while not queue.is_empty():
+                event = queue.pop()
+                order.append((event.time_h, event.event_type, event.payload))
+                if rng.random() < 0.4 and len(order) < 60:
+                    queue.push(queue.now_h + float(rng.integers(0, 2)) * 0.5,
+                               EventType.JOB_SUBMIT, f"late{len(order)}")
+            return order
+
+        assert drive(resumed, np.random.default_rng(seed)) == drive(
+            original, np.random.default_rng(seed)
+        )
+
+    def test_restore_rejects_stale_next_sequence(self):
+        queue = EventQueue()
+        queue.push(1.0, EventType.TICK)
+        with pytest.raises(SimulationError, match="next_sequence"):
+            EventQueue().restore(queue.pending_events(), 0.0, 0)
+
 
 class TestCoolingModel:
     def test_pue_at_reference(self):

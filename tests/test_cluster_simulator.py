@@ -1,5 +1,8 @@
 """Tests for the discrete-event cluster simulator."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,22 @@ def pipeline(policy: str):
 def make_job(job_id: str, n_gpus: int, duration: float, submit: float, **kw) -> Job:
     return Job(job_id=job_id, user_id=kw.pop("user_id", "u"), n_gpus=n_gpus, duration_h=duration,
                submit_time_h=submit, **kw)
+
+
+@contextlib.contextmanager
+def _alarm_after(seconds: float):
+    """Turn a hang into a test failure: raise in the main thread after ``seconds``."""
+
+    def on_alarm(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run(jobs, scheduler=None, config=None, **kwargs):
@@ -76,6 +95,15 @@ class TestBasicExecution:
         job.state = JobState.RUNNING
         with pytest.raises(SimulationError):
             run([job])
+
+    @pytest.mark.parametrize("field", ["submit_time_h", "duration_h"])
+    def test_non_finite_job_time_raises_instead_of_hanging(self, field):
+        # Job() rejects non-finite times; a job mutated afterwards must still
+        # fail typed at the event queue, not spin the event loop forever.
+        job = make_job("a", 1, 1.0, 0.0)
+        setattr(job, field, float("nan"))
+        with _alarm_after(20.0), pytest.raises(SimulationError, match="non-finite"):
+            run([make_job("b", 1, 1.0, 0.0), job])
 
 
 class TestPowerAccounting:

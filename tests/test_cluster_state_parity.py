@@ -9,7 +9,10 @@ Three layers of evidence that the delta-maintained state model is exact:
    sequences keep every incremental counter equal to a brute-force recount
    over the GPU views, and keep the O(1) IT power equal (to float tolerance)
    to both the vectorized recompute checkpoint and a pure-Python reference
-   that reproduces the pre-refactor whole-cluster scan arithmetic.
+   that reproduces the pre-refactor whole-cluster scan arithmetic.  A second
+   oracle, the whole-cluster argsort/argmax placement the occupancy buckets
+   replaced, must pick the same GPUs and drain the same nodes over random
+   allocate/release/re-cap/drain/undrain/restore/view-write sequences.
 3. **Seeded end-to-end parity** — a pinned SuperCloud-like workload produces
    *bit-identical* job records (hash-pinned against the pre-refactor
    implementation) under all five scheduling policies, with the power series
@@ -27,6 +30,7 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster, NodeState
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
+from repro.errors import CheckpointError
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.scheduler.compose import build_pipeline
 from repro.telemetry.gpu_power import GpuPowerModel, get_gpu_spec
@@ -170,6 +174,107 @@ def test_randomized_sequences_keep_state_exact(seed):
     assert cluster.n_busy_gpus == 0
     assert cluster.n_free_gpus == cluster.total_gpus
     assert cluster.it_power_w() == pytest.approx(brute_force_it_power(cluster), rel=0, abs=0)
+    assert_state_parity(cluster)
+
+
+def reference_placement(cluster: Cluster, n_gpus: int, pack: bool) -> tuple:
+    """The pre-bucket placement, kept verbatim as the oracle.
+
+    One whole-cluster pass per call: a stable ``argsort`` of the nodes by free
+    count (pack) or repeated ``argmax`` over a decremented copy (spread), read
+    from the public views only.
+    """
+    free = np.array([node.n_free_gpus for node in cluster.nodes])
+    allocated = np.array([[not gpu.is_free for gpu in node.gpus] for node in cluster.nodes])
+    locations = []
+    if pack:
+        candidates = np.flatnonzero(free > 0)
+        order = candidates[np.argsort(free[candidates], kind="stable")]
+        remaining = n_gpus
+        for node_id in order:
+            free_indices = np.flatnonzero(~allocated[node_id])
+            take = free_indices if free_indices.size <= remaining else free_indices[:remaining]
+            locations.extend((int(node_id), int(index)) for index in take)
+            remaining -= take.size
+            if remaining == 0:
+                break
+    else:
+        cursors: dict[int, int] = {}
+        for _ in range(n_gpus):
+            node_id = int(np.argmax(free))
+            row = np.flatnonzero(~allocated[node_id])
+            cursor = cursors.get(node_id, 0)
+            locations.append((node_id, int(row[cursor])))
+            cursors[node_id] = cursor + 1
+            free[node_id] -= 1
+    return tuple(locations)
+
+
+def reference_drain(cluster: Cluster, n_nodes: int) -> list[int]:
+    """The node ids the pre-bucket ``drain_nodes`` scan would drain."""
+    idle = [
+        node.node_id
+        for node in cluster.nodes
+        if node.state is not NodeState.DRAINED and node.n_free_gpus == node.n_gpus
+    ]
+    return idle[:n_nodes]
+
+
+def _drained_ids(cluster: Cluster) -> list[int]:
+    return [node.node_id for node in cluster.nodes if node.state is NodeState.DRAINED]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bucketed_placement_matches_whole_cluster_reference(seed):
+    """Random op sequences: every placement and drain equals the oracle's."""
+    rng = np.random.default_rng(seed)
+    facility = FacilityConfig(n_nodes=int(rng.integers(1, 13)), gpus_per_node=int(rng.integers(1, 9)))
+    cluster = Cluster(facility, gpu_model="V100")
+    live: list[str] = []
+    rogue: list[tuple[int, int]] = []
+    for step in range(300):
+        op = rng.random()
+        if op < 0.40 and cluster.n_free_gpus > 0:
+            n_gpus = int(rng.integers(1, cluster.n_free_gpus + 1))
+            pack = bool(rng.random() < 0.5)
+            expected = reference_placement(cluster, n_gpus, pack)
+            job_id = f"job-{step}"
+            allocation = cluster.allocate(job_id, n_gpus, utilization=0.7, pack=pack)
+            assert allocation.gpu_locations == expected
+            live.append(job_id)
+        elif op < 0.65 and live:
+            cluster.release(live.pop(int(rng.integers(len(live)))))
+        elif op < 0.70 and live:
+            cluster.set_power_limit(live[int(rng.integers(len(live)))], 150.0)
+        elif op < 0.80:
+            n_nodes = int(rng.integers(0, 4))
+            expected = reference_drain(cluster, n_nodes)
+            before = set(_drained_ids(cluster))
+            assert cluster.drain_nodes(n_nodes) == len(expected)
+            assert set(_drained_ids(cluster)) - before == set(expected)
+        elif op < 0.85:
+            cluster.undrain_all()
+        elif op < 0.92:
+            # Out-of-band view writes: occupy a free GPU, or free a rogue one.
+            if rogue and rng.random() < 0.5:
+                node_id, index = rogue.pop(int(rng.integers(len(rogue))))
+                cluster.nodes[node_id].gpus[index].allocated_job_id = None
+            else:
+                free = [gpu for gpu in cluster.iter_gpus() if gpu.is_free]
+                if free:
+                    gpu = free[int(rng.integers(len(free)))]
+                    gpu.allocated_job_id = f"rogue-{step}"
+                    rogue.append((gpu.node_id, gpu.index))
+        else:
+            try:
+                state = cluster.snapshot_state()
+            except CheckpointError:
+                continue  # view writes left per-GPU state non-uniform
+            target = cluster if rng.random() < 0.5 else Cluster(facility, gpu_model="V100")
+            target.restore_state(state)
+            cluster = target
+        if step % 25 == 0:
+            assert_state_parity(cluster)
     assert_state_parity(cluster)
 
 

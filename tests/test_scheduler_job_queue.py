@@ -39,6 +39,12 @@ class TestJobValidation:
         with pytest.raises(SchedulingError):
             make_job(power_cap_fraction=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["submit_time_h", "duration_h", "deadline_h", "max_defer_h"])
+    def test_rejects_non_finite_times(self, field, value):
+        with pytest.raises(SchedulingError, match=f"{field} must be finite"):
+            make_job(**{field: value})
+
 
 class TestJobLifecycle:
     def test_start_and_complete(self):

@@ -124,6 +124,17 @@ class TestSessionLifecycle:
         with pytest.raises(ServeError, match="400.*must be finite"):
             _create(client, policy="backfill+slack(margin=nan)")
 
+    @pytest.mark.parametrize("field", ["submit_time_h", "duration_h"])
+    def test_non_finite_job_time_is_400(self, client, field):
+        # json.loads accepts NaN; such a job used to hang the session's
+        # event loop on the next advance.
+        _create(client, preload_jobs=0)
+        job = {"job_id": "j", "user_id": "u", "n_gpus": 1, "duration_h": 1.0,
+               "submit_time_h": 5.0, field: float("nan")}
+        with pytest.raises(ServeError, match=f"400.*{field} must be finite"):
+            client.submit_jobs("s1", [job])
+        assert client.advance("s1", until_h=24.0)["now_h"] == 24.0
+
     def test_duplicate_and_past_submissions_rejected(self, client):
         _create(client, preload_jobs=0)
         job = {"job_id": "j", "user_id": "u", "n_gpus": 1, "duration_h": 1.0,

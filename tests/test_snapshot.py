@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.cluster.simulator import (
     SimulatorSnapshot,
     SNAPSHOT_VERSION,
 )
+from repro.config import FacilityConfig
 from repro.core.levers import make_scheduler
 from repro.errors import CheckpointError, SimulationError, SteppingError
 from repro.experiments import ExperimentSession
@@ -142,6 +144,53 @@ class TestRestoreParity:
         result = resumed.finalize()
         assert result.it_power_w.tolist() == reference.it_power_w.tolist()
         assert result.facility_energy_kwh == reference.facility_energy_kwh
+
+
+class TestStoredSnapshotFormat:
+    """A version-1 snapshot file written before the event heap held tuples.
+
+    ``data/snapshot_v1_two_node.json`` was captured from a 2x2-GPU
+    ``backfill`` run advanced to t=3 h, when the heap still held
+    :class:`~repro.cluster.events.Event` objects.  It carries same-instant
+    finishes, submits and ticks, so restoring it exercises the full
+    (time, priority, sequence) tie order of the rebuilt heap.
+    """
+
+    PATH = Path(__file__).parent / "data" / "snapshot_v1_two_node.json"
+    SPEC = [("a", 0.0, 2, 3.0), ("b", 0.0, 1, 1.5), ("c", 1.0, 2, 2.0), ("d", 1.5, 1, 1.5),
+            ("e", 3.0, 1, 2.0), ("f", 3.0, 4, 1.0), ("g", 4.5, 2, 0.5), ("h", 6.0, 3, 3.0)]
+
+    @staticmethod
+    def _simulator() -> ClusterSimulator:
+        return ClusterSimulator(
+            Cluster(FacilityConfig(n_nodes=2, gpus_per_node=2), gpu_model="V100"),
+            make_scheduler("backfill"),
+            SimulationConfig(horizon_h=12.0),
+        )
+
+    def _jobs(self) -> list[Job]:
+        return [
+            Job(job_id=job_id, user_id="u", n_gpus=n_gpus, duration_h=duration,
+                submit_time_h=submit)
+            for job_id, submit, n_gpus, duration in self.SPEC
+        ]
+
+    def test_current_build_writes_the_same_payload(self):
+        simulator = self._simulator()
+        simulator.begin(self._jobs())
+        simulator.advance(3.0)
+        stored = json.loads(self.PATH.read_text())
+        assert stored["version"] == SNAPSHOT_VERSION
+        assert json.loads(json.dumps(simulator.snapshot().to_jsonable())) == stored
+
+    def test_restore_and_advance_matches_uninterrupted_run(self):
+        reference = self._simulator().run(self._jobs())
+        resumed = self._simulator()
+        resumed.restore(SimulatorSnapshot.from_jsonable(json.loads(self.PATH.read_text())))
+        resumed.advance(6.0)
+        result = resumed.finalize()
+        assert result.job_records == reference.job_records
+        assert result.it_power_w.tolist() == reference.it_power_w.tolist()
 
 
 class TestSnapshotValidation:
