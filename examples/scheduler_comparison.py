@@ -4,8 +4,9 @@
 Builds a 48-node cluster, generates a one-week SuperCloud-like job trace, and
 runs it under FIFO, backfill, energy-aware, carbon-aware and deadline-aware
 policy pipelines (each given by its spec string) with identical weather and
-grid conditions — the Eq. 1 levers ``p`` and ``c`` in action.  Then runs the Eq. 1 grid search to pick the best
-operating point subject to a 90% activity floor.
+grid conditions — the Eq. 1 levers ``p`` and ``c`` in action.  Then runs the
+Eq. 1 grid search on the same 48-node cluster to pick the best operating point
+subject to a 90% activity floor.
 
 Run with::
 
@@ -19,8 +20,8 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
-from repro.core.framework import GreenDatacenterModel
 from repro.core.levers import OperatingPoint
+from repro.experiments import ExperimentSession, ScenarioSpec
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.scheduler import build_pipeline
 from repro.timeutils import SimulationCalendar
@@ -65,9 +66,8 @@ def main() -> None:
 
     print()
     print("Eq. 1 search: minimise facility energy s.t. delivered GPU-hours >= 90% of status quo")
-    model = GreenDatacenterModel()
-    model.facility = FACILITY
-    outcome = model.optimize_operations(
+    session = ExperimentSession(ScenarioSpec(seed=20220527, facility=FACILITY))
+    outcome = session.optimize_operations(
         jobs,
         horizon_h=7 * 24.0,
         activity_floor_fraction=0.9,

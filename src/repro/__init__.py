@@ -169,13 +169,36 @@ the serve daemon exposes a Prometheus text endpoint at ``GET /metrics``
 (request counters by method/route/status, per-session uptime/progress
 gauges) ready for scraping.
 
-The legacy :class:`GreenDatacenterModel` facade remains as a thin shim over
-the session API.
+Replacing the removed facade
+----------------------------
+The one-object datacenter-model facade and its seed/horizon config class
+are gone; the session is the one entry point.  A facade built from seed
+``s``, ``m`` months, facility ``f`` and site ``x`` becomes
+``session = ExperimentSession(ScenarioSpec(seed=s, n_months=m, facility=f,
+site=x))`` (the facade's default seed was 20220527,
+:class:`~repro.experiments.ScenarioSpec`'s is 0), and its methods map onto
+the session:
+
+===============================  ===========================================
+Facade call                      Replacement
+===============================  ===========================================
+``.scenario`` / ``.grid``        ``session.scenario()`` / ``session.grid``
+``.hourly_facility_load_kwh()``  ``session.hourly_facility_load_kwh()``
+``.generate_job_trace()``        ``session.job_trace()``
+``.optimize_operations()``       ``session.optimize_operations()``
+``.monthly_figures()``           ``fig2…fig5(session.scenario())`` or
+                                 ``session.run("figures")``
+``.load_shifting()``             ``session.run("shifting")``
+``.deadline_options()``          ``session.run("deadlines")``
+``.stress_tests()``              ``session.run("stress")``
+``.opportunity_cost()``          ``opportunity_cost_of_profile(
+                                 session.hourly_facility_load_kwh(),
+                                 session.grid, …)``
+===============================  ===========================================
 """
 
 from .artifacts import ArtifactStore
-from .config import ExperimentConfig, FacilityConfig, SiteConfig
-from .core.framework import GreenDatacenterModel
+from .config import FacilityConfig, SiteConfig
 from .errors import GreenHPCError
 from .experiments import (
     CampaignDAG,
@@ -233,11 +256,9 @@ __all__ = [
     "__version__",
     "PAPER_REFERENCE",
     "GreenHPCError",
-    "ExperimentConfig",
     "FacilityConfig",
     "SiteConfig",
     "SimulationCalendar",
-    "GreenDatacenterModel",
     "ExperimentSession",
     "ExperimentResult",
     "ScenarioSpec",

@@ -24,11 +24,12 @@ the nodes an ``allocate``/``release``/``drain`` actually touches, and the
 cluster's IT power is delta-maintained so the simulator reads it in O(1) at
 every tick and scheduling round.  :class:`~repro.cluster.resources.Node` and
 :class:`~repro.cluster.resources.GpuResource` remain available as lightweight
-views over the arrays, so scheduler policies and user code keep their
-historical object API.  ``Cluster.recompute_it_power_w`` is the vectorized
-full recompute retained as a debug/parity checkpoint (the simulator's
-``parity_check=True`` verifies the incremental value against it after every
-allocation change), and ``tests/test_cluster_state_parity.py`` pins the whole
+read-only views over the arrays, so scheduler policies and user code keep
+their historical object API for reading state.
+``Cluster.recompute_it_power_w`` is the vectorized full recompute retained
+as a debug/parity checkpoint (the simulator's ``parity_check=True``
+verifies the incremental value against it after every allocation change),
+and ``tests/test_cluster_state_parity.py`` pins the whole
 model — counters, power, and end-to-end ``SimulationResult`` outputs —
 against brute-force recounts and the pre-refactor implementation.  The
 ``supercloud-large`` scenario (256 nodes x 8 A100s) and

@@ -38,15 +38,13 @@ touches, never to the size of the cluster:
   construction); ``allocate``/``release``/``set_power_limit``/``drain_nodes``
   adjust a running total so :meth:`Cluster.it_power_w` is an O(1) read.
   :meth:`Cluster.recompute_it_power_w` is the vectorized full recompute kept
-  as a debug/parity checkpoint (and the fallback whenever per-GPU state was
-  mutated directly through the view objects below).
-* **``Node`` and ``GpuResource`` are views.**  The historical object API
-  (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is preserved as
-  lightweight views over the arrays, so schedulers, tests and user code read
-  the same state without the pool paying to keep thousands of Python objects
-  coherent.  Writing through a view keeps the counters and buckets correct
-  but drops the power cache to the recompute path until the cluster next
-  drains empty.
+  as a debug/parity checkpoint.
+* **``Node`` and ``GpuResource`` are read-only views.**  The historical
+  object API (``cluster.nodes``, ``node.free_gpus``, ``gpu.is_free``, …) is
+  preserved as lightweight views over the arrays, so schedulers, tests and
+  user code read the same state without the pool paying to keep thousands
+  of Python objects coherent.  Every state change goes through the
+  ``Cluster`` methods above.
 """
 
 from __future__ import annotations
@@ -80,9 +78,8 @@ class GpuResource:
     utilization:
         Current compute utilization driven by the running job.
 
-    Reads come straight from the backing arrays; writes go through the
-    cluster so the incremental counters stay consistent (direct writes also
-    invalidate the delta-maintained power cache — see module docstring).
+    Read-only: every attribute reads straight from the backing arrays, and
+    state changes go through :class:`Cluster` methods.
     """
 
     __slots__ = ("_cluster", "node_id", "index")
@@ -97,32 +94,16 @@ class GpuResource:
         """Id of the job using the device (``None`` when free)."""
         return self._cluster._job_ids[self.node_id][self.index]
 
-    @allocated_job_id.setter
-    def allocated_job_id(self, job_id: Optional[str]) -> None:
-        self._cluster._set_gpu_job_id(self.node_id, self.index, job_id)
-
     @property
     def utilization(self) -> float:
         """Current compute utilization in [0, 1]."""
         return float(self._cluster._utilization[self.node_id, self.index])
-
-    @utilization.setter
-    def utilization(self, value: float) -> None:
-        self._cluster._utilization[self.node_id, self.index] = float(value)
-        self._cluster._power_dirty = True
 
     @property
     def power_limit_w(self) -> Optional[float]:
         """Enforced power cap in watts (``None`` means TDP)."""
         cap = self._cluster._power_cap_w[self.node_id, self.index]
         return None if np.isnan(cap) else float(cap)
-
-    @power_limit_w.setter
-    def power_limit_w(self, value: Optional[float]) -> None:
-        self._cluster._power_cap_w[self.node_id, self.index] = (
-            np.nan if value is None else float(value)
-        )
-        self._cluster._power_dirty = True
 
     @property
     def is_free(self) -> bool:
@@ -203,9 +184,6 @@ class Node:
             return NodeState.DRAINED
         return NodeState.ACTIVE if self.is_occupied else NodeState.IDLE
 
-    def refresh_state(self) -> None:
-        """Kept for API compatibility; state is now derived, nothing to refresh."""
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Node(node_id={self.node_id}, state={self.state.value!r}, "
@@ -273,7 +251,6 @@ class Cluster:
         # Delta-maintained IT power: per-job per-GPU power and the busy total.
         self._busy_power_w = 0.0
         self._job_power_w: dict[str, float] = {}
-        self._power_dirty = False
         self._allocations: dict[str, Allocation] = {}
         self.nodes: list[Node] = [Node(self, node_id) for node_id in range(n_nodes)]
 
@@ -499,9 +476,8 @@ class Cluster:
         self._busy_power_w -= n_gpus * per_gpu_power
         if self._busy_gpus == 0:
             # Exact resynchronization point: an empty cluster has zero busy
-            # power by definition, which also clears any drift or dirtiness.
+            # power by definition, which also clears any float drift.
             self._busy_power_w = 0.0
-            self._power_dirty = False
         return allocation
 
     def set_power_limit(self, job_id: str, power_limit_w: Optional[float]) -> None:
@@ -568,12 +544,8 @@ class Cluster:
         Sums GPU power (via the analytic power model, honouring per-GPU caps
         and utilizations), per-node idle power for non-drained nodes, and the
         active-node overhead for occupied nodes.  O(1): the busy-GPU term is
-        delta-maintained by ``allocate``/``release``/``set_power_limit``;
-        only direct per-GPU writes through the view objects force the
-        vectorized :meth:`recompute_it_power_w` path.
+        delta-maintained by ``allocate``/``release``/``set_power_limit``.
         """
-        if self._power_dirty:
-            return self.recompute_it_power_w()
         facility = self.facility
         return (
             facility.node_idle_power_w * (self._n_nodes - self._n_drained)
@@ -621,17 +593,7 @@ class Cluster:
         verbatim — recomputing it as a fresh sum on restore could differ in
         the last ulp from the incrementally-maintained original, breaking
         bit-identical continuation.
-
-        Raises :class:`~repro.errors.CheckpointError` when per-GPU state was
-        mutated out-of-band through the view objects (``_power_dirty``): such
-        state is no longer job-uniform and cannot be represented per
-        allocation.
         """
-        if self._power_dirty:
-            raise CheckpointError(
-                "cluster state was mutated directly through GPU views; "
-                "per-allocation snapshotting requires job-uniform state"
-            )
         allocations = []
         for job_id, allocation in self._allocations.items():
             first_node, first_index = allocation.gpu_locations[0]
@@ -684,7 +646,6 @@ class Cluster:
             self._drained[int(node_id)] = True
         self._allocations = {}
         self._job_power_w = {}
-        self._power_dirty = False
         for entry in state["allocations"]:
             job_id = entry["job_id"]
             locations = tuple((int(n), int(i)) for n, i in entry["locations"])
@@ -710,40 +671,6 @@ class Cluster:
         self._rebuild_buckets()
         self._busy_power_w = float(state["busy_power_w"])
         # The Node views read through the cluster; nothing to rebuild.
-
-    # ------------------------------------------------------------------
-    # Direct per-GPU writes (view setters route through here)
-    # ------------------------------------------------------------------
-    def _set_gpu_job_id(self, node_id: int, index: int, job_id: Optional[str]) -> None:
-        """Write-through for ``GpuResource.allocated_job_id`` assignments.
-
-        Keeps the occupancy counters and buckets exact; the power cache is
-        marked dirty because out-of-band assignments carry no power
-        bookkeeping.
-        """
-        was_allocated = bool(self._allocated[node_id, index])
-        now_allocated = job_id is not None
-        self._job_ids[node_id][index] = job_id
-        self._power_dirty = True
-        if was_allocated == now_allocated:
-            return
-        gpus_per_node = self._gpus_per_node
-        self._allocated[node_id, index] = now_allocated
-        if now_allocated:
-            if self._node_free[node_id] == gpus_per_node:
-                self._n_occupied += 1
-            self._node_free[node_id] -= 1
-            self._busy_gpus += 1
-            if not self._drained[node_id]:
-                self._free_gpus_nondrained -= 1
-        else:
-            self._node_free[node_id] += 1
-            if self._node_free[node_id] == gpus_per_node:
-                self._n_occupied -= 1
-            self._busy_gpus -= 1
-            if not self._drained[node_id]:
-                self._free_gpus_nondrained += 1
-        self._enqueue(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -27,7 +27,6 @@
   opportunity-cost accounting of Section II.A.
 * :mod:`~repro.core.stress` — the Dodd-Frank-style stress-test harness of
   Section II.B.
-* :mod:`~repro.core.framework` — the :class:`GreenDatacenterModel` facade.
 """
 
 from .objective import ObjectiveKind, EnergyObjective, ActivityConstraint, ObjectiveEvaluation
@@ -54,7 +53,6 @@ from .policies import (
 )
 from .opportunity_cost import OpportunityCostReport, opportunity_cost_of_profile
 from .stress import StressTestResult, StressTestHarness
-from .framework import GreenDatacenterModel
 
 __all__ = [
     "ObjectiveKind",
@@ -89,5 +87,4 @@ __all__ = [
     "opportunity_cost_of_profile",
     "StressTestResult",
     "StressTestHarness",
-    "GreenDatacenterModel",
 ]

@@ -34,6 +34,7 @@ requests — the kill-and-restart path the CI smoke exercises.
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -53,6 +54,22 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Top-level routes with a fixed label on the request counter; anything else
 #: (typos, scans) collapses to "other" so label cardinality stays bounded.
 _KNOWN_ROUTES = ("health", "version", "sessions", "route", "metrics")
+
+
+def _finite(value: Any, name: str) -> float:
+    """``value`` as a finite float; anything else is a 400-mapped :class:`ServeError`.
+
+    Float request fields, body and query alike, go through here, so
+    ``"abc"``, ``null``, ``[1]`` or a NaN never reaches arithmetic that would
+    raise a 500 or wait forever.
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ServeError(f"{name!r} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ServeError(f"{name!r} must be finite, got {value!r}")
+    return number
 
 
 def _route_label(segments: list[str]) -> str:
@@ -85,7 +102,13 @@ class _JsonHandler(BaseHTTPRequestHandler):
         self.connection.settimeout(self.daemon.request_timeout_s)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or 0
+        length = _finite(raw_length, "Content-Length")
+        if length < 0 or not length.is_integer():
+            raise ServeError(
+                f"'Content-Length' must be a non-negative integer, got {raw_length!r}"
+            )
+        length = int(length)
         if length > _MAX_BODY_BYTES:
             raise ServeError(f"request body exceeds {_MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
@@ -330,7 +353,14 @@ class ServeDaemon:
     ) -> bool:
         if not rest:
             if method == "POST":
-                session = self.manager.create_session(request._read_json())
+                body = request._read_json()
+                for key in ("horizon_h", "tick_h", "preload_jobs"):
+                    if key in body:
+                        body[key] = _finite(body[key], key)
+                for key in ("power_cap_fraction", "facility_power_budget_w"):
+                    if body.get(key) is not None:  # null means "none"
+                        body[key] = _finite(body[key], key)
+                session = self.manager.create_session(body)
                 request._send_json(session.status(), status=201)
                 return True
             if method == "GET":
@@ -364,8 +394,8 @@ class ServeDaemon:
             if "until_h" not in body:
                 raise ServeError("body must carry 'until_h'")
             status = session.advance_to(
-                float(body["until_h"]),
-                deadline_s=float(body.get("deadline_s", self.request_timeout_s)),
+                _finite(body["until_h"], "until_h"),
+                deadline_s=_finite(body.get("deadline_s", self.request_timeout_s), "deadline_s"),
                 checkpoint_every_h=self.checkpoint_every_h,
                 store=self.store,
             )
@@ -412,13 +442,9 @@ class ServeDaemon:
         if cursor < 0:
             raise ServeError(f"query parameter 'since' must be >= 0, got {cursor}")
         follow = query.get("follow", "0") not in ("0", "false", "")
-        try:
-            max_wait_s = min(float(query.get("max_wait_s", 10.0)), self.request_timeout_s)
-        except ValueError:
-            raise ServeError(
-                f"query parameter 'max_wait_s' must be a number, "
-                f"got {query.get('max_wait_s')!r}"
-            ) from None
+        max_wait_s = min(
+            _finite(query.get("max_wait_s", 10.0), "max_wait_s"), self.request_timeout_s
+        )
         request.send_response(200)
         request.send_header("Content-Type", "application/x-ndjson")
         request.send_header("Cache-Control", "no-store")

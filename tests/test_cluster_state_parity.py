@@ -12,7 +12,7 @@ Three layers of evidence that the delta-maintained state model is exact:
    that reproduces the pre-refactor whole-cluster scan arithmetic.  A second
    oracle, the whole-cluster argsort/argmax placement the occupancy buckets
    replaced, must pick the same GPUs and drain the same nodes over random
-   allocate/release/re-cap/drain/undrain/restore/view-write sequences.
+   allocate/release/re-cap/drain/undrain/restore sequences.
 3. **Seeded end-to-end parity** — a pinned SuperCloud-like workload produces
    *bit-identical* job records (hash-pinned against the pre-refactor
    implementation) under all five scheduling policies, with the power series
@@ -30,7 +30,6 @@ from repro.cluster.cooling import CoolingModel
 from repro.cluster.resources import Cluster, NodeState
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
 from repro.config import FacilityConfig
-from repro.errors import CheckpointError
 from repro.grid.iso_ne import IsoNeLikeGrid
 from repro.scheduler.compose import build_pipeline
 from repro.telemetry.gpu_power import GpuPowerModel, get_gpu_spec
@@ -231,7 +230,6 @@ def test_bucketed_placement_matches_whole_cluster_reference(seed):
     facility = FacilityConfig(n_nodes=int(rng.integers(1, 13)), gpus_per_node=int(rng.integers(1, 9)))
     cluster = Cluster(facility, gpu_model="V100")
     live: list[str] = []
-    rogue: list[tuple[int, int]] = []
     for step in range(300):
         op = rng.random()
         if op < 0.40 and cluster.n_free_gpus > 0:
@@ -254,22 +252,8 @@ def test_bucketed_placement_matches_whole_cluster_reference(seed):
             assert set(_drained_ids(cluster)) - before == set(expected)
         elif op < 0.85:
             cluster.undrain_all()
-        elif op < 0.92:
-            # Out-of-band view writes: occupy a free GPU, or free a rogue one.
-            if rogue and rng.random() < 0.5:
-                node_id, index = rogue.pop(int(rng.integers(len(rogue))))
-                cluster.nodes[node_id].gpus[index].allocated_job_id = None
-            else:
-                free = [gpu for gpu in cluster.iter_gpus() if gpu.is_free]
-                if free:
-                    gpu = free[int(rng.integers(len(free)))]
-                    gpu.allocated_job_id = f"rogue-{step}"
-                    rogue.append((gpu.node_id, gpu.index))
         else:
-            try:
-                state = cluster.snapshot_state()
-            except CheckpointError:
-                continue  # view writes left per-GPU state non-uniform
+            state = cluster.snapshot_state()
             target = cluster if rng.random() < 0.5 else Cluster(facility, gpu_model="V100")
             target.restore_state(state)
             cluster = target
@@ -278,23 +262,15 @@ def test_bucketed_placement_matches_whole_cluster_reference(seed):
     assert_state_parity(cluster)
 
 
-def test_direct_view_writes_stay_consistent():
-    """Out-of-band writes through GPU views keep counters exact and fall back
-    to the recompute path for power."""
-    cluster = Cluster(FacilityConfig(n_nodes=2, gpus_per_node=2))
-    gpu = cluster.nodes[0].gpus[1]
-    gpu.allocated_job_id = "rogue"
-    gpu.utilization = 0.8
-    gpu.power_limit_w = 150.0
-    assert cluster.n_free_gpus == 3
-    assert cluster.n_busy_gpus == 1
-    assert cluster.nodes[0].state is NodeState.ACTIVE
-    np.testing.assert_allclose(cluster.it_power_w(), brute_force_it_power(cluster), rtol=1e-12)
-    gpu.allocated_job_id = None
-    gpu.utilization = 0.0
-    gpu.power_limit_w = None
-    assert cluster.n_free_gpus == 4
-    assert cluster.it_power_w() == pytest.approx(brute_force_it_power(cluster))
+def test_gpu_views_are_read_only():
+    """State changes go through Cluster methods; the views refuse writes."""
+    cluster = Cluster(FacilityConfig(n_nodes=1, gpus_per_node=2))
+    gpu = cluster.nodes[0].gpus[0]
+    for name, value in (("allocated_job_id", "x"), ("utilization", 0.5), ("power_limit_w", 100.0)):
+        with pytest.raises(AttributeError):
+            setattr(gpu, name, value)
+    assert cluster.n_free_gpus == 2
+    assert cluster.it_power_w() == cluster.recompute_it_power_w()
 
 
 def test_allocation_resolves_gpus_directly():

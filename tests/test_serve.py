@@ -10,6 +10,8 @@ session's bit for bit.
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
 import time
 
@@ -54,6 +56,25 @@ def _create(client, session_id="s1", **extra):
     )
     params.update(extra)
     return client.create_session(**params)
+
+
+def _raw_request(daemon, method, path, body=None, *, content_length=None):
+    """One request with a hand-written body/header; returns (status, JSON payload).
+
+    The 10 s socket timeout bounds a handler that never answers.
+    """
+    connection = http.client.HTTPConnection("127.0.0.1", daemon.port, timeout=10)
+    try:
+        data = None if body is None else body.encode()
+        connection.putrequest(method, path)
+        if data is not None or content_length is not None:
+            length = str(len(data)) if content_length is None else content_length
+            connection.putheader("Content-Length", length)
+        connection.endheaders(data)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 class TestSessionLifecycle:
@@ -135,6 +156,57 @@ class TestSessionLifecycle:
             client.submit_jobs("s1", [job])
         assert client.advance("s1", until_h=24.0)["now_h"] == 24.0
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"until_h": "abc"},
+            {"until_h": None},
+            {"until_h": [1]},
+            {"until_h": float("nan")},
+            {"until_h": 10**400},
+            {"until_h": 24.0, "deadline_s": "x"},
+            {"until_h": 24.0, "deadline_s": float("nan")},
+        ],
+        ids=[
+            "until-str", "until-null", "until-list", "until-nan", "until-overflow",
+            "deadline-str", "deadline-nan",
+        ],
+    )
+    def test_malformed_advance_is_400(self, daemon, client, body):
+        _create(client, preload_jobs=0)
+        status, payload = _raw_request(daemon, "POST", "/sessions/s1/advance", json.dumps(body))
+        assert status == 400, payload
+        assert client.advance("s1", until_h=24.0)["now_h"] == 24.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon_h", "abc"),
+            ("horizon_h", None),
+            ("horizon_h", float("inf")),
+            ("preload_jobs", "abc"),
+            ("preload_jobs", [3]),
+            ("tick_h", "abc"),
+            ("power_cap_fraction", "abc"),
+            ("facility_power_budget_w", "abc"),
+        ],
+    )
+    def test_malformed_session_number_is_400(self, daemon, client, field, value):
+        body = {"session_id": "s1", "scenario": "supercloud-small", field: value}
+        status, payload = _raw_request(daemon, "POST", "/sessions", json.dumps(body))
+        assert status == 400, payload
+        assert field in payload["error"]
+        assert client.list_sessions() == []
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+    def test_malformed_content_length_is_400(self, daemon, client, length):
+        _create(client, preload_jobs=0)
+        status, payload = _raw_request(
+            daemon, "POST", "/sessions/s1/advance", "", content_length=length
+        )
+        assert status == 400, payload
+        assert "Content-Length" in payload["error"]
+
     def test_duplicate_and_past_submissions_rejected(self, client):
         _create(client, preload_jobs=0)
         job = {"job_id": "j", "user_id": "u", "n_gpus": 1, "duration_h": 1.0,
@@ -195,6 +267,17 @@ class TestTelemetry:
             with pytest.raises(urlerror.HTTPError) as excinfo:
                 urlrequest.urlopen(url, timeout=10)
             assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("max_wait_s", ["nan", "inf", "-inf"])
+    def test_non_finite_max_wait_is_400_not_a_hang(self, daemon, client, max_wait_s):
+        # An unchecked NaN wait blocks the handler thread forever; the
+        # client's own timeout turns that into a failure instead of a hang.
+        _create(client)
+        client.advance("s1", until_h=2.0)
+        path = f"/sessions/s1/telemetry?follow=1&max_wait_s={max_wait_s}"
+        status, payload = _raw_request(daemon, "GET", path)
+        assert status == 400, payload
+        assert "max_wait_s" in payload["error"]
 
     def test_follow_sees_rows_from_concurrent_advance(self, client):
         _create(client)
